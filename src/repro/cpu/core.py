@@ -152,9 +152,9 @@ class Core:
             # consecutive lines interleave across channels, so a
             # single-channel macro-request would collapse the channel
             # parallelism the per-line simulation exploits.
-            mapper = self._mc.mapper
+            channel_of = self._mc.mapper.channel_of
             groups: dict = {}
-            groups.setdefault(mapper.map(addr).channel, []).append(addr)
+            groups.setdefault(channel_of(addr), []).append(addr)
             n = 1
             while n < cap:
                 follow = workload.try_next(now)
@@ -166,9 +166,7 @@ class Core:
                     # macro-request rather than joining this one.
                     self._pending_op = follow
                     break
-                groups.setdefault(mapper.map(follow[0]).channel, []).append(
-                    follow[0]
-                )
+                groups.setdefault(channel_of(follow[0]), []).append(follow[0])
                 n += 1
             if self.throttle_gap_ns > 0:
                 self._next_issue_allowed = now + self.throttle_gap_ns * n

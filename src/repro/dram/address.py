@@ -30,7 +30,7 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappedAddress:
     """Decoded location of one cacheline."""
 
@@ -42,6 +42,12 @@ class MappedAddress:
 
 class AddressMapper:
     """Decodes cacheline addresses into channel/bank/row/column.
+
+    Decoding is a handful of shifts and masks, so nothing is cached:
+    the hot path (:meth:`repro.dram.controller.MemoryController.assign`)
+    reads the precomputed ``channel_mask`` / ``bank_shift`` /
+    ``bank_mask`` / ``row_shift`` / ``xor_mask`` fields directly and
+    keeps no per-address state.
 
     Args:
         n_channels: memory channels on the socket (power of two).
@@ -69,43 +75,33 @@ class AddressMapper:
         self.n_banks = n_banks
         self.lines_per_row = lines_per_row
         self.xor_hash = xor_hash
-        self._channel_mask = n_channels - 1
-        self._channel_shift = n_channels.bit_length() - 1
-        self._column_mask = lines_per_row - 1
-        self._column_shift = lines_per_row.bit_length() - 1
-        self._bank_mask = n_banks - 1
-        self._bank_shift = n_banks.bit_length() - 1
-        # Memo of recent decodes. Requests revisit lines on short
-        # timescales (read then writeback, RPQ/WPQ re-examination), so
-        # a bounded memo captures most repeats; it is cleared when full
-        # rather than evicting so GB-scale streams cannot grow it
-        # without bound.
-        self._memo: dict = {}
-        self._memo_limit = 1 << 16
+        #: line-address bit fields, low to high: channel | column |
+        #: bank | row. Each ``*_shift`` is the field's lowest bit.
+        self.channel_mask = n_channels - 1
+        self.column_shift = n_channels.bit_length() - 1
+        self.column_mask = lines_per_row - 1
+        self.bank_shift = self.column_shift + lines_per_row.bit_length() - 1
+        self.bank_mask = n_banks - 1
+        self.row_shift = self.bank_shift + n_banks.bit_length() - 1
+        #: low row bits XORed into the bank index (0 disables the hash)
+        self.xor_mask = self.bank_mask if xor_hash else 0
 
     def map(self, line_addr: int) -> MappedAddress:
-        """Decode a cacheline address (memoized)."""
-        mapped = self._memo.get(line_addr)
-        if mapped is not None:
-            return mapped
-        mapped = self._map_uncached(line_addr)
-        if len(self._memo) >= self._memo_limit:
-            self._memo.clear()
-        self._memo[line_addr] = mapped
-        return mapped
-
-    def _map_uncached(self, line_addr: int) -> MappedAddress:
+        """Decode a cacheline address."""
         if line_addr < 0:
             raise ValueError("line_addr must be non-negative")
-        channel = line_addr & self._channel_mask
-        rest = line_addr >> self._channel_shift
-        column = rest & self._column_mask
-        rest >>= self._column_shift
-        bank = rest & self._bank_mask
-        row = rest >> self._bank_shift
-        if self.xor_hash:
-            bank ^= row & self._bank_mask
-        return MappedAddress(channel=channel, bank=bank, row=row, column=column)
+        row = line_addr >> self.row_shift
+        return MappedAddress(
+            channel=line_addr & self.channel_mask,
+            bank=((line_addr >> self.bank_shift) & self.bank_mask)
+            ^ (row & self.xor_mask),
+            row=row,
+            column=(line_addr >> self.column_shift) & self.column_mask,
+        )
+
+    def channel_of(self, line_addr: int) -> int:
+        """Home channel of a cacheline address (its low bits)."""
+        return line_addr & self.channel_mask
 
     def lines_per_bank_visit(self) -> int:
         """Consecutive per-channel lines that land in one bank's row."""

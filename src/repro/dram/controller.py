@@ -612,10 +612,21 @@ class MemoryController:
         self._class_partitions: Dict[str, int] = {}
 
     def assign(self, req: Request) -> Channel:
-        """Decode the request's address and return its home channel."""
-        mapped = self.mapper.map(req.line_addr)
-        req.channel_id = mapped.channel
-        bank = mapped.bank
+        """Decode the request's address and return its home channel.
+
+        The decode is :meth:`AddressMapper.map` inlined over the
+        mapper's masks and shifts (no per-address state is kept).
+        """
+        addr = req.line_addr
+        if addr < 0:
+            raise ValueError("line_addr must be non-negative")
+        mapper = self.mapper
+        row = addr >> mapper.row_shift
+        bank = ((addr >> mapper.bank_shift) & mapper.bank_mask) ^ (
+            row & mapper.xor_mask
+        )
+        channel = addr & mapper.channel_mask
+        req.channel_id = channel
         if self.bank_partitions > 1:
             pid = self._class_partitions.get(req.traffic_class)
             if pid is None:
@@ -623,8 +634,8 @@ class MemoryController:
                 self._class_partitions[req.traffic_class] = pid
             bank = pid * self._part_size + bank % self._part_size
         req.bank_id = bank
-        req.row_id = mapped.row
-        return self.channels[mapped.channel]
+        req.row_id = row
+        return self.channels[channel]
 
     @property
     def theoretical_bandwidth(self) -> float:

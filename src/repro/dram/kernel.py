@@ -34,10 +34,10 @@ validator probe (:meth:`repro.validate.probes.InvariantProbes
 
 ``REPRO_KERNEL=off`` keeps the historical request-at-a-time reference
 path (diagnostic aid: any divergence with the kernel on is a kernel
-bug). numpy is optional — the hot path is plain lists either way
-(at 16-64 banks, numpy scalar indexing measured slower than list
-indexing), numpy only accelerates window-level snapshots — mirroring
-the :mod:`repro.telemetry.bankstats` gating.
+bug). The hot path is plain lists (at 16-64 banks, numpy scalar
+indexing measured slower than list indexing); numpy is imported
+lazily, only by the window-level ``bank_state`` snapshot, through
+:func:`repro.telemetry.bankstats.load_numpy`.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
 from repro.sim.records import RequestKind, RequestSource, release_request
-
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    import numpy as np
-except ImportError:  # minimal interpreters (e.g. the 3.10 floor check)
-    np = None  # type: ignore[assignment]
+from repro.telemetry import bankstats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dram.controller import Channel, ChannelStats
@@ -772,8 +768,9 @@ class ChannelKernel:
         """Snapshot ``(open_row, busy_until, prep_pending)`` arrays.
 
         numpy arrays when numpy is importable, plain lists otherwise —
-        the same gating as :mod:`repro.telemetry.bankstats`.
+        through the same loader as :mod:`repro.telemetry.bankstats`.
         """
+        np = bankstats.load_numpy()
         if np is None:
             return (
                 list(self.open_row),

@@ -13,10 +13,9 @@ coarser estimate suffices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.apps.fio import add_fio
 from repro.apps.gapbs import add_gapbs_cores
@@ -450,7 +449,7 @@ def root_cause_panels(
             _, cdf = bank_deviation_cdf(deviations, grid)
             data.add(f"bank_dev_cdf_{label}", list(cdf))
         else:
-            data.add(f"bank_dev_cdf_{label}", [np.nan] * len(grid))
+            data.add(f"bank_dev_cdf_{label}", [math.nan] * len(grid))
     data.notes = (
         f"bank_dev_cdf_* series are CDF values on deviation grid {grid} "
         f"for the {core_counts[idx]}-core point, not per-core-count values."

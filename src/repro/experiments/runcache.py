@@ -80,6 +80,46 @@ def code_fingerprint() -> str:
     return _code_fingerprint
 
 
+def knob_namespace() -> bytes:
+    """The knob settings that select a result's namespace.
+
+    These knobs change a run's result (or what it records) without
+    appearing in its pickled call spec, so every identity derived from
+    a call spec hashes these bytes too: the run-cache key
+    (:func:`key_for`) and the sweep journal's task digest
+    (:func:`repro.experiments.supervisor._task_digest`). A result
+    computed under one setting can then never be replayed under
+    another.
+    """
+    from repro.sim.knobs import KnobSet
+
+    knobs = KnobSet.resolve()
+    return b"|".join(
+        (
+            # Validated and unvalidated runs are float-identical by
+            # contract, but their RunResults differ in the recorded
+            # check count — and a REPRO_VALIDATE=1 suite must actually
+            # execute its checks rather than replay an unvalidated one.
+            b"validate=1" if knobs.validate else b"validate=0",
+            # Burst (macro-event) runs are approximations of the
+            # per-line simulation: results at different REPRO_BURST
+            # factors must never replay each other.
+            f"burst={knobs.burst}".encode(),
+            # The DDIO and per-bank-regulation force-knobs change host
+            # behaviour without appearing in the pickled spec (the
+            # HostConfig defaults stay off).
+            f"ddio={knobs.ddio}".encode(),
+            f"bankreg={knobs.bank_reg}".encode(),
+            # The uncore kernel is float-identical by contract, but a
+            # stored result must never mask a divergence: keep the
+            # namespaces apart so REPRO_UNCORE=off actually recomputes
+            # (same reasoning as the DRAM kernel's code_fingerprint
+            # coverage).
+            f"uncore={knobs.uncore}".encode(),
+        )
+    )
+
+
 def key_for(fn: Any, args: tuple = (), kwargs: Optional[dict] = None) -> Optional[str]:
     """Cache key for a call, or ``None`` if it cannot be keyed.
 
@@ -92,30 +132,9 @@ def key_for(fn: Any, args: tuple = (), kwargs: Optional[dict] = None) -> Optiona
         spec = pickle.dumps((fn, args, sorted((kwargs or {}).items())), protocol=4)
     except Exception:
         return None
-    from repro.sim.knobs import KnobSet
-
-    knobs = KnobSet.resolve()
     digest = hashlib.sha256()
     digest.update(code_fingerprint().encode())
-    # Validated and unvalidated runs are float-identical by contract,
-    # but their RunResults differ in the recorded check count — and a
-    # REPRO_VALIDATE=1 suite must actually execute its checks rather
-    # than replay an unvalidated cache. Keep the namespaces separate.
-    digest.update(b"validate=1" if knobs.validate else b"validate=0")
-    # Burst (macro-event) runs are approximations of the per-line
-    # simulation: results at different REPRO_BURST factors must never
-    # replay each other's cache entries.
-    digest.update(f"burst={knobs.burst}".encode())
-    # The DDIO and per-bank-regulation force-knobs change host
-    # behaviour without appearing in the pickled spec (the HostConfig
-    # defaults stay off); keep their namespaces separate too.
-    digest.update(f"ddio={knobs.ddio}".encode())
-    digest.update(f"bankreg={knobs.bank_reg}".encode())
-    # The uncore kernel is float-identical by contract, but a cached
-    # result must never mask a divergence: keep the namespaces apart so
-    # REPRO_UNCORE=off actually recomputes (same reasoning as the DRAM
-    # kernel's code_fingerprint coverage).
-    digest.update(f"uncore={knobs.uncore}".encode())
+    digest.update(knob_namespace())
     digest.update(spec)
     return digest.hexdigest()
 

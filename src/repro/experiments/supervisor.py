@@ -125,6 +125,7 @@ class SupervisorStats:
     crashes: int = 0
     degraded: int = 0
     journal_hits: int = 0
+    executed: int = 0  #: tasks that ran to completion (not cache/journal hits)
     recovered_failures: List[TaskFailure] = field(default_factory=list)
 
     _COUNTERS = (
@@ -135,6 +136,7 @@ class SupervisorStats:
         "crashes",
         "degraded",
         "journal_hits",
+        "executed",
     )
 
     def snapshot(self) -> Dict[str, int]:
@@ -252,19 +254,17 @@ class _Task:
 def _task_digest(call: Call, desc: str, index: int) -> str:
     """Stable identity of a task across processes and resumed sweeps.
 
-    Mirrors the run-cache key (code fingerprint + validate namespace +
+    Mirrors the run-cache key (code fingerprint + knob namespace +
     pickled call spec) but exists even when the cache is disabled;
     unpicklable calls fall back to description + batch position, which
     is stable across identical re-invocations of the same sweep.
     """
     import hashlib
 
-    from repro.validate.invariants import enabled as validate_enabled
-
     fn, args, kwargs = call
     digest = hashlib.sha256()
     digest.update(runcache.code_fingerprint().encode())
-    digest.update(b"validate=1" if validate_enabled() else b"validate=0")
+    digest.update(runcache.knob_namespace())
     try:
         digest.update(pickle.dumps((fn, args, sorted(kwargs.items())), protocol=4))
     except Exception:
@@ -527,6 +527,7 @@ def _complete(ctx: _RunContext, task: _Task, value: Any) -> None:
     task.done = True
     task.result = value
     task.executed = True
+    stats.executed += 1
     task.outcomes.append("ok")
     runcache.put(task.cache_key, value)
     if ctx.journal is not None:

@@ -330,14 +330,14 @@ class DmaDevice:
         the channel parallelism the per-line simulation exploits. One
         macro-request per channel group preserves it. Partial bursts
         are fine (the workload ran out of pending lines)."""
-        mapper = self._mc.mapper
+        channel_of = self._mc.mapper.channel_of
         groups: dict = {}
-        groups.setdefault(mapper.map(first).channel, []).append(first)
+        groups.setdefault(channel_of(first), []).append(first)
         for _ in range(self.burst - 1):
             addr = next_line(now)
             if addr is None:
                 break
-            groups.setdefault(mapper.map(addr).channel, []).append(addr)
+            groups.setdefault(channel_of(addr), []).append(addr)
         return groups.values()
 
     # ------------------------------------------------------------------

@@ -65,7 +65,8 @@ CHUNK_EVENTS = 4096
 
 DEFAULT_EVERY_EVENTS = 200_000
 
-CKPT_VERSION = 1
+#: bumped whenever the pickled host graph changes shape
+CKPT_VERSION = 2
 _FORMAT = "host-ckpt"
 
 
@@ -288,11 +289,37 @@ def _knob_fingerprint() -> Dict[str, Any]:
     return KnobSet.resolve().fingerprint()
 
 
+def _workload_inputs(workload) -> tuple:
+    """What a core's workload contributes to a run's identity."""
+    region = getattr(workload, "region", None)
+    return (
+        type(workload).__name__,
+        workload.traffic_class,
+        getattr(workload, "store_fraction", None),
+        region.n_lines if region is not None else None,
+    )
+
+
+def _device_inputs(name: str, device) -> tuple:
+    """What a device contributes to a run's identity: its kind
+    (class and DMA directions) and its rates."""
+    return (
+        name,
+        type(device).__name__,
+        device.traffic_class,
+        device.workload.emits_writes,
+        device.workload.emits_reads,
+        device.device_rate,
+        getattr(device, "ingress_rate", None),
+    )
+
+
 def run_key(host, warmup_ns: float, measure_ns: float) -> str:
     """Stable identity of one ``Host.run`` call within a task.
 
-    Hashes the host's construction parameters, the window sizes and a
-    per-task ordinal (tasks like ``ColocationExperiment.point`` call
+    Hashes the host's construction parameters (config, seed, each
+    core's workload, each device's kind and rate), the window sizes and
+    a per-task ordinal (tasks like ``ColocationExperiment.point`` call
     ``Host.run`` several times on one checkpoint path; the ordinal
     binds the blob to the interrupted call, and earlier calls simply
     miss and run fresh). :func:`begin_task` resets the numbering so a
@@ -309,10 +336,11 @@ def run_key(host, warmup_ns: float, measure_ns: float) -> str:
         ordinal,
         float(warmup_ns),
         float(measure_ns),
+        host.seed,
         host.burst,
         host.validate,
-        len(host.cores),
-        sorted(host.devices),
+        [_workload_inputs(core.workload) for core in host.cores],
+        sorted(_device_inputs(name, dev) for name, dev in host.devices.items()),
     )
     digest.update(repr(ident).encode())
     digest.update(pickle.dumps(host.config, protocol=4))

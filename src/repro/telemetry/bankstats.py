@@ -12,12 +12,25 @@ before bandwidth saturation (§5.1).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-try:
+if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
-except ImportError:  # minimal interpreters (e.g. the 3.10 floor check)
-    np = None  # type: ignore[assignment]
+
+
+def load_numpy():
+    """numpy, imported on first use, or ``None`` where it is missing.
+
+    Only snapshot and analysis helpers (:func:`bank_deviation_cdf`,
+    :meth:`repro.dram.kernel.ChannelKernel.bank_state`) use numpy, so
+    simulation runs never import it. Both helpers go through this
+    loader, which tests patch to exercise the pure-python path.
+    """
+    try:
+        import numpy
+    except ImportError:  # minimal interpreters (e.g. the 3.10 floor check)
+        return None
+    return numpy
 
 
 class BankLoadSampler:
@@ -90,6 +103,7 @@ def bank_deviation_cdf(
     ``grid`` defaults to the sorted sample values. Without numpy the
     same values come back as plain lists.
     """
+    np = load_numpy()
     if np is None:
         data = sorted(float(d) for d in deviations)
         n = len(data)

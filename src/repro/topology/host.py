@@ -198,6 +198,8 @@ class Host:
             self.sim = ValidatingSimulator() if self.validate else make_simulator()
         self._validator: Optional[Validator] = Validator() if self.validate else None
         self.hub = CounterHub(namespace)
+        #: region-placement seed (part of the checkpoint run key)
+        self.seed = seed
         self._rng = random.Random(seed)
         self._region_cursor = 0
         #: DDIO last mile: ``REPRO_DDIO`` force-overrides the config

@@ -3,7 +3,10 @@
 import os
 import pickle
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +372,102 @@ class TestBlobIntegrity:
         assert checkpoint.run_key(host, 1000.0, 2000.0) == first
         checkpoint.begin_task(None)
         assert checkpoint.run_key(host, 1000.0, 9999.0) != first
+
+
+#: one 2-core host run in a fresh process: ``seed store_fraction
+#: preempt``. With ``preempt`` 1 it stops at a checkpoint (on
+#: ``REPRO_CKPT_PATH``); otherwise it prints the result's identity.
+_RUN_IN_PROCESS = """
+import sys
+
+from repro import Host, cascade_lake
+from repro.sim import checkpoint
+
+seed, store_fraction, preempt = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
+host = Host(cascade_lake(), seed=seed)
+host.add_stream_cores(2, store_fraction=store_fraction)
+if preempt == "1":
+    checkpoint.arm_preempt(5_000)
+    try:
+        host.run(2_000.0, 6_000.0)
+    except checkpoint.Preempted:
+        sys.exit(0)
+    sys.exit("run completed without being preempted")
+result = host.run(2_000.0, 6_000.0)
+print(result.lines_written, result.mem_bw_total.hex())
+"""
+
+
+def _run_in_process(ckpt_path, *argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    env["REPRO_CKPT_PATH"] = str(ckpt_path)
+    env["REPRO_CACHE"] = "off"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_PROCESS, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestRunIdentity:
+    def test_resume_never_returns_another_runs_result(self, tmp_path):
+        """A blob left by one run must not be resumed by a different
+        run on the same path: here the seed and the workload differ
+        (C2M-Read vs C2M-ReadWrite) but the core count, config and
+        windows match, and each process's run ordinal is 0."""
+        path = tmp_path / "host.ckpt"
+        _run_in_process(path, "1", "0.0", "1")
+        assert path.exists()
+        resumed = _run_in_process(path, "2", "1.0", "0")
+        fresh_host = Host(cascade_lake(), seed=2)
+        fresh_host.add_stream_cores(2, store_fraction=1.0)
+        fresh = fresh_host.run(2_000.0, 6_000.0)
+        assert fresh.lines_written > 0
+        assert resumed == [str(fresh.lines_written), fresh.mem_bw_total.hex()]
+
+    @pytest.mark.parametrize(
+        "variant",
+        ["seed", "store_fraction", "traffic_class", "region", "device_kind",
+         "device_rate"],
+    )
+    def test_run_key_covers_every_run_input(self, variant):
+        def build(**changes):
+            host = Host(cascade_lake(), seed=changes.get("seed", 1))
+            host.add_stream_cores(
+                1,
+                store_fraction=changes.get("store_fraction", 0.0),
+                traffic_class=changes.get("traffic_class", "c2m"),
+                region_bytes=changes.get("region", 1 << 30),
+            )
+            host.add_raw_dma(
+                changes.get("device_kind", RequestKind.WRITE),
+                device_rate=changes.get("device_rate"),
+            )
+            return host
+
+        changed = {
+            "seed": 2,
+            "store_fraction": 1.0,
+            "traffic_class": "other",
+            "region": 1 << 29,
+            "device_kind": RequestKind.READ,
+            "device_rate": 1.0,
+        }
+        checkpoint.begin_task(None)
+        base = checkpoint.run_key(build(), 1000.0, 2000.0)
+        checkpoint.begin_task(None)
+        other = checkpoint.run_key(
+            build(**{variant: changed[variant]}), 1000.0, 2000.0
+        )
+        assert base != other
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Unit tests for address mapping, regions, and DDR4 timing."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.dram.address import AddressMapper
+from repro.dram.controller import MemoryController
 from repro.dram.region import ContiguousRegion, PagedRegion
 from repro.dram.timing import DDR4_2933, DDR4_3200, DramTiming, ddr4_timing
+from repro.sim.engine import Simulator
+from repro.sim.records import Request, RequestKind, RequestSource
+from repro.telemetry.counters import CounterHub
 
 
 class TestDramTiming:
@@ -96,6 +103,87 @@ class TestAddressMapper:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             self.make().map(-1)
+
+    def test_channel_of_matches_map(self):
+        mapper = self.make(n_channels=4)
+        for line in range(0, 50_000, 37):
+            assert mapper.channel_of(line) == mapper.map(line).channel
+
+
+def _controller(n_channels, n_banks, lines_per_row, xor_hash, partitions):
+    return MemoryController(
+        Simulator(),
+        CounterHub(),
+        DDR4_2933,
+        n_channels=n_channels,
+        n_banks=n_banks,
+        lines_per_row=lines_per_row,
+        xor_bank_hash=xor_hash,
+        bank_partition_classes=partitions,
+    )
+
+
+class TestInlineDecode:
+    """``MemoryController.assign`` decodes inline from the mapper's
+    masks and shifts; it must agree with ``AddressMapper.map``."""
+
+    @pytest.mark.parametrize("partitions", [0, 2])
+    @pytest.mark.parametrize("xor_hash", [True, False])
+    def test_assign_agrees_with_map(self, xor_hash, partitions):
+        rng = random.Random(f"assign-{xor_hash}-{partitions}")
+        for n_channels, n_banks, lines_per_row in (
+            (1, 8, 64),
+            (2, 16, 128),
+            (4, 32, 128),
+            (8, 32, 256),
+        ):
+            mc = _controller(n_channels, n_banks, lines_per_row, xor_hash, partitions)
+            part_size = n_banks // partitions if partitions > 1 else n_banks
+            first_seen: dict = {}
+            for _ in range(400):
+                addr = rng.choice(
+                    (rng.randrange(1 << 12), rng.randrange(1 << 40))
+                )
+                traffic_class = rng.choice(("c2m", "p2m", "nic"))
+                req = Request(
+                    RequestSource.C2M, RequestKind.READ, addr,
+                    traffic_class=traffic_class,
+                )
+                channel = mc.assign(req)
+                mapped = mc.mapper.map(addr)
+                assert channel is mc.channels[mapped.channel]
+                assert (req.channel_id, req.row_id) == (mapped.channel, mapped.row)
+                bank = mapped.bank
+                if partitions > 1:
+                    pid = first_seen.setdefault(
+                        traffic_class, len(first_seen) % partitions
+                    )
+                    bank = pid * part_size + bank % part_size
+                assert req.bank_id == bank
+
+    @pytest.mark.parametrize("partitions", [0, 2])
+    def test_assign_rejects_negative_address(self, partitions):
+        mc = _controller(2, 16, 128, True, partitions)
+        with pytest.raises(ValueError, match="non-negative"):
+            mc.assign(Request(RequestSource.P2M, RequestKind.WRITE, -1))
+
+    def test_decode_retains_no_per_address_state(self):
+        mc = _controller(2, 32, 128, True, 0)
+        req = Request(RequestSource.C2M, RequestKind.READ, 0)
+        mc.assign(req)
+        mc.mapper.map(0)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for addr in range(100_000):
+                req.line_addr = addr
+                mc.assign(req)
+                mc.mapper.map(addr)
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        # A per-address cache of 100k decodes would hold megabytes.
+        assert retained < 64 * 1024
 
 
 class TestRegions:

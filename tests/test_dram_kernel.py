@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dram.kernel as kernel_mod
 from repro.dram.controller import Channel
 from repro.dram.kernel import kernel_enabled
 from repro.dram.regulator import BankRegulator
 from repro.dram.timing import DDR4_2933
 from repro.sim.engine import Simulator
 from repro.sim.records import Request, RequestKind, RequestSource
+from repro.telemetry import bankstats
 from repro.telemetry.counters import CounterHub
 
 request_strategy = st.tuples(
@@ -287,11 +287,11 @@ class TestNumpyGating:
         sim.run_until(500_000.0)
         return channel
 
-    @pytest.mark.skipif(kernel_mod.np is None, reason="numpy not installed")
+    @pytest.mark.skipif(bankstats.load_numpy() is None, reason="numpy not installed")
     def test_bank_state_numpy_arrays(self):
         channel = self._drive()
         open_row, busy_until, prep = channel.kernel.bank_state()
-        np = kernel_mod.np
+        np = bankstats.load_numpy()
         assert isinstance(open_row, np.ndarray) and open_row.dtype == np.int64
         assert busy_until.dtype == np.float64
         assert prep.dtype == np.bool_
@@ -299,7 +299,7 @@ class TestNumpyGating:
         assert not prep.any()  # drained channel: no prep in flight
 
     def test_bank_state_pure_python(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "np", None)
+        monkeypatch.setattr(bankstats, "load_numpy", lambda: None)
         channel = self._drive()
         open_row, busy_until, prep = channel.kernel.bank_state()
         assert isinstance(open_row, list)
@@ -308,7 +308,7 @@ class TestNumpyGating:
 
     def test_workload_identical_without_numpy(self, monkeypatch):
         with_np = self._drive().stats
-        monkeypatch.setattr(kernel_mod, "np", None)
+        monkeypatch.setattr(bankstats, "load_numpy", lambda: None)
         without_np = self._drive().stats
         assert with_np.lines_read == without_np.lines_read
         assert with_np.lines_written == without_np.lines_written

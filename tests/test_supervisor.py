@@ -358,6 +358,27 @@ class TestJournal:
         assert batch.resumed == 0
         assert os.path.getsize(counter) == 2
 
+    def test_journal_never_replays_across_knob_settings(self, tmp_path, monkeypatch):
+        """A sweep journaled under REPRO_DDIO=1 and rerun without it on
+        the same journal directory must recompute, and must not seed
+        the run cache with DDIO results under the DDIO-off key."""
+        from repro.experiments.quadrants import QUADRANTS, quadrant_experiment
+
+        def ddio_domains():
+            (point,) = quadrant_experiment(QUADRANTS[1]).sweep(
+                (1,), 1_000.0, 2_000.0, jobs=1
+            )
+            runs = (point.colocated, point.c2m_isolated_run, point.p2m_isolated_run)
+            return ["llc.ddio" in run.domain_snapshots for run in runs]
+
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
+        monkeypatch.setenv("REPRO_DDIO", "1")
+        assert ddio_domains() == [True, True, True]
+        monkeypatch.delenv("REPRO_DDIO")
+        assert ddio_domains() == [False, False, False]
+        monkeypatch.delenv("REPRO_JOURNAL_DIR")
+        assert ddio_domains() == [False, False, False]  # the cache alone
+
 
 class TestSerialSemantics:
     def test_serial_batch_runs_all_tasks_despite_failure(self, tmp_path):

@@ -1,5 +1,10 @@
 """Unit tests for the simulated uncore counters and Little's law."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.telemetry.bankstats import BankLoadSampler, bank_deviation_cdf
@@ -233,7 +238,7 @@ class TestBankDeviationCdf:
         samples = [1.0, 2.0, 3.0, 4.0]
         grid = [0.5, 2.5, 4.0, 5.0]
         ref_x, ref_f = bank_deviation_cdf(samples, grid=grid)
-        monkeypatch.setattr(bankstats, "np", None)
+        monkeypatch.setattr(bankstats, "load_numpy", lambda: None)
         x, f = bank_deviation_cdf(samples, grid=grid)
         assert isinstance(x, list) and isinstance(f, list)
         assert x == [0.5, 2.5, 4.0, 5.0]
@@ -243,8 +248,49 @@ class TestBankDeviationCdf:
     def test_numpy_off_path_without_grid(self, monkeypatch):
         import repro.telemetry.bankstats as bankstats
 
-        monkeypatch.setattr(bankstats, "np", None)
+        monkeypatch.setattr(bankstats, "load_numpy", lambda: None)
         x, f = bank_deviation_cdf([3.0, 1.0, 2.0])
         assert x == [1.0, 2.0, 3.0]
         assert f == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
         assert bank_deviation_cdf([]) == ([], [])
+
+
+_NUMPY_FREE_RUNS = """
+import sys
+
+import repro
+from repro import Cluster, Host, RequestKind, cascade_lake
+from repro.experiments.quadrants import QUADRANTS, quadrant_experiment
+
+host = Host(cascade_lake())
+host.add_stream_cores(1, store_fraction=0.5)
+host.add_raw_dma(RequestKind.WRITE)
+assert host.run(1_000.0, 2_000.0).mem_bw_total > 0
+cluster = Cluster(cascade_lake(), n_hosts=2)
+for member in cluster.hosts:
+    member.add_stream_cores(1, store_fraction=1.0)
+assert cluster.run(1_000.0, 2_000.0).host(1).mem_bw_total > 0
+quadrant_experiment(QUADRANTS[1]).sweep((1,), 1_000.0, 2_000.0, jobs=1)
+assert "numpy" not in sys.modules, "a simulation run imported numpy"
+"""
+
+
+class TestNumpyLoadsLazily:
+    def test_runs_and_sweeps_never_import_numpy(self, tmp_path):
+        """numpy is for snapshot and analysis helpers only: importing
+        the package, a host run, a 2-host rack run and a serial sweep
+        (what a sweep worker executes) must not load it."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_RUNS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -9,20 +9,23 @@ the fast-scale Figure 3 quadrant sweep:
    mid-simulation checkpoint preemptions (``preempt`` — the worker
    checkpoints, exits, and the retried attempt resumes the
    interrupted run from the blob), with retries enabled;
-3. **chaotic replay** — same cache directory as pass 2, so the
-   corrupted entries written there are detected, quarantined and
-   recomputed.
+3. **chaotic replay** — same cache directory as pass 2 but an empty
+   journal, so the corrupted entries written there are detected,
+   quarantined and recomputed (a journal kept from pass 2 would serve
+   those tasks and the recompute path would never run).
 
 All three must produce float-identical series, every injected fault
 must be recovered (the pass-2/3 report lists each TaskFailure with
 attempt counts), and the corruption pass must actually quarantine
-entries. ``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for quick
-local iteration.
+entries and re-execute at least as many tasks as it quarantined.
+``REPRO_BENCH_SCALE=smoke`` shrinks the sweep for quick local
+iteration.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -121,23 +124,37 @@ def main() -> int:
 
         # Pass 3 replays against the chaotic cache: corrupt=0.3 poisoned
         # a deterministic subset of the entries written in pass 2, so
-        # this pass must quarantine them and recompute.
+        # this pass must quarantine them and recompute. The journal is
+        # emptied first: pass 2's journal holds every result and would
+        # serve the quarantined tasks without running them.
         print("[3/3] replay against the corrupted cache (quarantine + recompute)")
+        shutil.rmtree(journal_dir)
+        os.mkdir(journal_dir)
+        quarantine = Path(chaos_dir) / "quarantine"
+        quarantined_before = len(list(quarantine.glob("*.pkl")))
         n_recovered = len(stats.recovered_failures)
+        before = stats.snapshot()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             replay, elapsed = run_fig3(scale)
-        quarantined = list((Path(chaos_dir) / "quarantine").glob("*.pkl"))
+        delta = stats.delta(before)
+        quarantined = len(list(quarantine.glob("*.pkl"))) - quarantined_before
         recovered = stats.recovered_failures[n_recovered:]
         print(
-            f"      done in {elapsed:.1f}s; quarantined {len(quarantined)} "
-            f"corrupt entries ({len(caught)} warnings)"
+            f"      done in {elapsed:.1f}s; quarantined {quarantined} "
+            f"corrupt entries ({len(caught)} warnings), re-executed "
+            f"{delta['executed']} tasks"
         )
         if recovered:
             print(render_failures(recovered, title="Recovered task failures (attempt counts)"))
         compare("corrupted-cache replay", baseline, replay)
         if not quarantined:
             raise SystemExit("FAIL: corruption chaos never exercised quarantine")
+        if delta["executed"] < quarantined:
+            raise SystemExit(
+                f"FAIL: {quarantined} entries were quarantined but only "
+                f"{delta['executed']} tasks re-executed"
+            )
 
     print("chaos check passed: sweeps survive kills, transient faults and "
           "cache corruption with float-identical results")

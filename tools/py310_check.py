@@ -90,8 +90,10 @@ def kernel_smoke():
     assert stats.lines_read == 8 and stats.lines_written == 8
     return channel.kernel.bank_state()
 
+import repro.telemetry.bankstats as bankstats
+
 with_np = kernel_smoke()
-kernel_mod.np = None  # pure-python fallback must behave identically
+bankstats.load_numpy = lambda: None  # pure-python fallback must behave identically
 without_np = kernel_smoke()
 assert list(with_np[0]) == list(without_np[0]), "bank_state diverged"
 
