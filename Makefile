@@ -85,7 +85,7 @@ chaos:
 # Checkpoint tier: one fig03 point is SIGTERM-killed at two successive
 # checkpoints and resumed across real processes; the twice-resumed
 # RunResult must be bit-identical to the committed fingerprint, with
-# the DRAM kernel on and off (tools/ckpt_check.py).
+# each of the DRAM and uncore kernels on and off (tools/ckpt_check.py).
 ckpt:
 	$(PYTHON) tools/ckpt_check.py
 

@@ -7,9 +7,9 @@ trajectory (baseline: ``BENCH_engine.json``, gated by
 * empty-callback churn — pure engine overhead (scheduling plus
   dispatch of mixed-delay singleton events), no model code;
 * event-train dispatch — bulk ``schedule_many`` trains through the
-  bucketed same-delay FIFO lane, the shape DMA bursts and timer
-  wheels produce (falls back to per-member ``schedule`` on engines
-  without the bulk API, so the same benchmark measures both);
+  bucketed same-delay FIFO lane, the shape DMA bursts produce (falls
+  back to per-member ``schedule`` on engines without the bulk API, so
+  the same benchmark measures both);
 * a realistic DRAM-traffic window — a colocated STREAM + DMA host,
   reporting the events/sec the simulator sustains end to end;
 * uncore admission churn — the IIO credit pools and CHA ingress

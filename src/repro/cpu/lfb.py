@@ -37,20 +37,20 @@ class LineFillBuffer(CreditPool):
         """Whether a new miss can allocate an entry."""
         return self.occ.value < self.size
 
-    def alloc(self, now: float, n: int = 1) -> None:
-        """Consume ``n`` credits (entries allocated on L1 misses)."""
-        if self.occ.value + n > self.size:
+    def alloc(self, now: float) -> None:
+        """Consume an entry (allocated on an L1 miss)."""
+        if self.occ.value >= self.size:
             raise RuntimeError("LFB allocation without a free entry")
-        self.acquire(now, n)
+        self.acquire(now)
 
-    def free(self, now: float, n: int = 1) -> None:
-        """Replenish ``n`` credits (the misses fully resolved)."""
-        self.release(now, n)
+    def free(self, now: float) -> None:
+        """Replenish an entry (the miss fully resolved)."""
+        self.release(now)
 
-    def free_held(self, now: float, t_alloc: float, n: int = 1) -> None:
-        """Replenish ``n`` credits held since ``t_alloc``, feeding the
-        pool's credit-hold-time stat (the full LFB round trip)."""
-        self.release_held(now, t_alloc, n)
+    def free_held(self, now: float, t_alloc: float) -> None:
+        """Replenish an entry held since ``t_alloc``, feeding the pool's
+        credit-hold-time stat (the full LFB round trip)."""
+        self.release_held(now, t_alloc)
 
     def average_occupancy(self, now: float) -> float:
         """Time-averaged entries in use over the current window."""

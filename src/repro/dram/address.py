@@ -98,11 +98,3 @@ class AddressMapper:
             row=row,
             column=(line_addr >> self.column_shift) & self.column_mask,
         )
-
-    def channel_of(self, line_addr: int) -> int:
-        """Home channel of a cacheline address (its low bits)."""
-        return line_addr & self.channel_mask
-
-    def lines_per_bank_visit(self) -> int:
-        """Consecutive per-channel lines that land in one bank's row."""
-        return self.lines_per_row

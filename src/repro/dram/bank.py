@@ -70,17 +70,6 @@ class Bank:
             return self.read_q
         return self.write_q
 
-    def head_ready(self, req: Request) -> bool:
-        """True if ``req`` is this bank's active head with its row open."""
-        now = self._sim.now
-        queue = self.active_queue()
-        return (
-            bool(queue)
-            and queue[0] is req
-            and now >= self.busy_until
-            and self.open_row == req.row_id
-        )
-
     def maybe_start_prep(self) -> None:
         """Start PRE/ACT for the active head if the row is not open.
 

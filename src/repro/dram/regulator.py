@@ -62,10 +62,9 @@ class BankRegulator:
             this long-run line rate; sensible values are a fraction of
             the channel line rate ``1 / t_trans`` (the host derives it
             from ``HostConfig.bank_reg_share``).
-        burst_lines: bucket depth — the largest debt-free burst one
-            bank may transmit back-to-back. Requests larger than the
-            burst are admitted whole once the bucket is full (the
-            bucket goes into debt) rather than blocked forever.
+        burst_lines: bucket depth — the most lines one bank may
+            transmit back-to-back. At least one line: every transmit
+            spends one token.
 
     Buckets refill lazily: each bank stores ``(tokens, stamp)`` and
     accrues ``(now - stamp) * rate`` on access. :meth:`ready` and
@@ -82,8 +81,8 @@ class BankRegulator:
             raise ValueError("n_banks must be positive")
         if rate_lines_per_ns <= 0:
             raise ValueError("rate must be positive")
-        if burst_lines <= 0:
-            raise ValueError("burst must be positive")
+        if burst_lines < 1:
+            raise ValueError("burst must be at least one line")
         self.rate = rate_lines_per_ns
         self.burst = float(burst_lines)
         self.tokens: List[float] = [self.burst] * n_banks
@@ -99,34 +98,27 @@ class BankRegulator:
             return self.burst
         return accrued
 
-    def ready(self, bank_id: int, now: float, lines: int) -> bool:
-        """Whether the bank may transmit ``lines`` right now (pure).
+    def ready(self, bank_id: int, now: float) -> bool:
+        """Whether the bank may transmit a line right now (pure)."""
+        return self.available(bank_id, now) >= 1.0 - _EPS_LINES
 
-        A request larger than the burst only needs a full bucket —
-        :meth:`consume` then drives the bucket into debt, which the
-        refill pays off before the bank is ready again.
-        """
-        need = float(lines) if lines < self.burst else self.burst
-        return self.available(bank_id, now) >= need - _EPS_LINES
-
-    def next_ready(self, bank_id: int, now: float, lines: int) -> float:
-        """Earliest time the bank could transmit ``lines`` (pure).
+    def next_ready(self, bank_id: int, now: float) -> float:
+        """Earliest time the bank could transmit a line (pure).
 
         Returns ``now`` when already ready. Used by the scheduler to
         re-arm the pump when every candidate bank is token-blocked.
         """
-        need = float(lines) if lines < self.burst else self.burst
         accrued = self.tokens[bank_id] + (now - self.stamp[bank_id]) * self.rate
-        if accrued >= need - _EPS_LINES:
+        if accrued >= 1.0 - _EPS_LINES:
             return now
-        return now + (need - accrued) / self.rate
+        return now + (1.0 - accrued) / self.rate
 
-    def consume(self, bank_id: int, now: float, lines: int) -> None:
-        """Spend ``lines`` tokens at transmit time (the only mutation)."""
+    def consume(self, bank_id: int, now: float) -> None:
+        """Spend one token at transmit time (the only mutation)."""
         accrued = self.tokens[bank_id] + (now - self.stamp[bank_id]) * self.rate
         if accrued > self.burst:
             accrued = self.burst
-        self.tokens[bank_id] = accrued - float(lines)
+        self.tokens[bank_id] = accrued - 1.0
         self.stamp[bank_id] = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -150,8 +150,3 @@ def run_calls(
     from repro.experiments.supervisor import run_supervised
 
     return run_supervised(calls, jobs=jobs, cache=cache).results
-
-
-def run_one(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """Run a single call through the cache (no pool for one task)."""
-    return run_calls([(fn, args, kwargs)], jobs=1)[0]

@@ -101,10 +101,6 @@ def knob_namespace() -> bytes:
             # check count — and a REPRO_VALIDATE=1 suite must actually
             # execute its checks rather than replay an unvalidated one.
             b"validate=1" if knobs.validate else b"validate=0",
-            # Burst (macro-event) runs are approximations of the
-            # per-line simulation: results at different REPRO_BURST
-            # factors must never replay each other.
-            f"burst={knobs.burst}".encode(),
             # The DDIO and per-bank-regulation force-knobs change host
             # behaviour without appearing in the pickled spec (the
             # HostConfig defaults stay off).

@@ -4,11 +4,11 @@ A checkpoint is one checksummed blob — the same ``RRC1`` + sha256
 framing as the run cache (:mod:`repro.experiments.runcache`), with the
 same quarantine discipline for corrupt files — holding the pickled
 :class:`~repro.topology.host.Host` object graph mid-run: the engine
-heap + FIFO buckets (+ wheel slots/cursor), every credit pool with its
-waiter callbacks, reservations and occupancy integrals, the SoA DRAM
-kernel arrays + open-row dicts + head caches, bank-regulator token
-buckets, the LLC tag store + ddio pool, CHA/IIO/LFB/PCIe/core
-in-flight state and telemetry counters. Module-level state the host
+heap + FIFO buckets, every credit pool with its waiter callbacks,
+reservations and occupancy integrals, the SoA DRAM kernel arrays +
+open-row dicts + head caches, bank-regulator token buckets, the LLC
+tag store + ddio pool, CHA/IIO/LFB/PCIe/core in-flight state and
+telemetry counters. Module-level state the host
 pickle cannot see — the :mod:`repro.sim.records` Request free list —
 rides in the same pickle (identity-preserving via the shared memo),
 along with a :class:`RunState` cursor recording where inside
@@ -66,7 +66,7 @@ CHUNK_EVENTS = 4096
 DEFAULT_EVERY_EVENTS = 200_000
 
 #: bumped whenever the pickled host graph changes shape
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 _FORMAT = "host-ckpt"
 
 
@@ -337,7 +337,6 @@ def run_key(host, warmup_ns: float, measure_ns: float) -> str:
         float(warmup_ns),
         float(measure_ns),
         host.seed,
-        host.burst,
         host.validate,
         [_workload_inputs(core.workload) for core in host.cores],
         sorted(_device_inputs(name, dev) for name, dev in host.devices.items()),
@@ -579,13 +578,6 @@ def _on_sigterm(signum, frame) -> None:
     _SIGTERM_SEEN = True
 
 
-def request_preempt() -> None:
-    """Ask the current drive to checkpoint-and-stop at the next chunk
-    boundary (what the SIGTERM handler does; exposed for tests)."""
-    global _SIGTERM_SEEN
-    _SIGTERM_SEEN = True
-
-
 def arm_preempt(events: int, exit_process: bool = False) -> None:
     """Preempt deterministically once ``events_processed`` reaches
     ``events``. ``exit_process`` makes the preemption exit with
@@ -640,7 +632,7 @@ def sigterm_to_checkpoint(enabled: bool = True):
 
     Installed only on the main thread (signal API constraint); the
     previous handler is restored on exit. Off the main thread the
-    drive still honours :func:`request_preempt` / :func:`arm_preempt`.
+    drive still honours :func:`arm_preempt`.
     """
     if not enabled or threading.current_thread() is not threading.main_thread():
         yield

@@ -7,8 +7,8 @@ simulator's four loops (LFB, IIO read/write buffers, CHA admission
 stages, RPQ/WPQ) historically each carried a bespoke counter pair;
 :class:`CreditPool` unifies them:
 
-* **weighted acquire/release** — burst-mode macro-requests
-  (``REPRO_BURST``) move ``req.lines`` credits per call;
+* **acquire/release** — every request holds one credit, one
+  cacheline, from acquire to release;
 * **FIFO one-shot waiters** — a blocked sender registers a callback
   that fires exactly once, in registration order, when credits free
   (replacing the IIO's broadcast-to-everyone list);
@@ -86,8 +86,8 @@ class CreditPool:
         self.capacity = capacity
         self.soft = soft
         self.occ = occupancy
-        # Prebound: acquire/release run once per cacheline (or per
-        # macro-request), so skip the attribute walk to the counter.
+        # Prebound: acquire/release run once per cacheline, so skip
+        # the attribute walk to the counter.
         self._occ_update = occupancy.update
         #: slots claimed for requests in transit (RPQ/WPQ admission).
         self.reserved = 0
@@ -125,17 +125,17 @@ class CreditPool:
             return 0
         return self.capacity - self.occ.value
 
-    def has_room(self, n: int = 1) -> bool:
-        """Whether ``n`` credits can be acquired at once."""
+    def has_room(self) -> bool:
+        """Whether a credit can be acquired."""
         if self.capacity is None:
             return True
-        return self.occ.value + n <= self.capacity
+        return self.occ.value < self.capacity
 
-    def can_accept(self, n: int = 1) -> bool:
-        """Whether ``n`` credits are free, counting reservations."""
+    def can_accept(self) -> bool:
+        """Whether a credit is free, counting reservations."""
         if self.capacity is None:
             return True
-        return self.occ.value + self.reserved + n <= self.capacity
+        return self.occ.value + self.reserved < self.capacity
 
     def average(self, now: float) -> float:
         """Time-averaged credits in use over the current window."""
@@ -143,39 +143,39 @@ class CreditPool:
 
     # ------------------------ credit movement ---------------------------
 
-    def acquire(self, now: float, n: int = 1) -> None:
-        """Consume ``n`` credits at time ``now``."""
-        self.alloc_count += n
-        self._occ_update(now, n)
+    def acquire(self, now: float) -> None:
+        """Consume a credit at time ``now``."""
+        self.alloc_count += 1
+        self._occ_update(now, 1)
 
-    def release(self, now: float, n: int = 1) -> None:
-        """Replenish ``n`` credits; wakes registered waiters (FIFO)."""
-        self.free_count += n
-        self._occ_update(now, -n)
+    def release(self, now: float) -> None:
+        """Replenish a credit; wakes registered waiters (FIFO)."""
+        self.free_count += 1
+        self._occ_update(now, -1)
         if self._waiters:
             self._drain_waiters()
 
-    def release_held(self, now: float, t_acquire: float, n: int = 1) -> None:
-        """Release ``n`` credits held since ``t_acquire``, accumulating
-        the hold time — the domain latency ``L`` of §4.1."""
-        self.latency.record(now - t_acquire, n)
-        self.free_count += n
-        self._occ_update(now, -n)
+    def release_held(self, now: float, t_acquire: float) -> None:
+        """Release a credit held since ``t_acquire``, accumulating the
+        hold time — the domain latency ``L`` of §4.1."""
+        self.latency.record(now - t_acquire)
+        self.free_count += 1
+        self._occ_update(now, -1)
         if self._waiters:
             self._drain_waiters()
 
     # -------------------------- reservations ----------------------------
 
-    def reserve(self, n: int = 1) -> None:
-        """Claim ``n`` credits for a request in transit (no occupancy
-        yet); the caller must have checked :meth:`can_accept`."""
-        self.reserved += n
+    def reserve(self) -> None:
+        """Claim a credit for a request in transit (no occupancy yet);
+        the caller must have checked :meth:`can_accept`."""
+        self.reserved += 1
 
-    def commit(self, now: float, n: int = 1) -> None:
-        """Convert ``n`` reserved credits into held credits."""
-        self.reserved -= n
-        self.alloc_count += n
-        self._occ_update(now, n)
+    def commit(self, now: float) -> None:
+        """Convert a reserved credit into a held credit."""
+        self.reserved -= 1
+        self.alloc_count += 1
+        self._occ_update(now, 1)
 
     # ---------------------------- waiters -------------------------------
 
@@ -215,7 +215,7 @@ class DomainSnapshot:
 
     All values are exact simulation measurements; ``credits_in_use``
     is the time-averaged occupancy integral of the domain's pools,
-    ``latency_ns`` the lines-weighted mean domain latency, and
+    ``latency_ns`` the mean domain latency, and
     ``throughput_bytes_per_ns`` the domain's completed cachelines
     converted to bytes/ns (== GB/s).
     """
@@ -228,7 +228,7 @@ class DomainSnapshot:
     credits_in_use: float
     #: instantaneous credits held at collection time
     occupancy_now: int
-    #: credit events within the window (lines-weighted); the C2M
+    #: credit events within the window; the C2M
     #: domains share the LFB pool, so their alloc/free counts cover
     #: both directions
     allocs: int

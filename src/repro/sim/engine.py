@@ -41,7 +41,6 @@ order, since every live entry of the old bucket has already fired.
 from __future__ import annotations
 
 import math
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -162,11 +161,10 @@ class Simulator:
     def pending_entries(self) -> "Iterator[tuple]":
         """Yield every pending ``(instant, entry)`` pair.
 
-        The canonical observer of scheduler state, shared by the heap
-        and wheel engines (the bucket layer is common to both): entries
-        surface in bucket (submission) order within an instant, though
-        instants themselves come out in dict order, not time order.
-        Entries keep their raw shapes — ``(fn, args)`` tuples,
+        The canonical observer of scheduler state: entries surface in
+        bucket (submission) order within an instant, though instants
+        themselves come out in dict order, not time order. Entries
+        keep their raw shapes — ``(fn, args)`` tuples,
         :class:`Event` handles (cancelled ones included) and
         :class:`_Chain` anchors (whose live size is
         ``len(argslist) - idx``). Read-only: mutating the schedule
@@ -180,12 +178,11 @@ class Simulator:
                 yield time, bucket
 
     def pending_instants(self) -> list:
-        """Every distinct pending instant registered in the index.
+        """Every distinct pending instant registered in the heap.
 
-        For the heap engine this is the heap itself; the wheel engine
-        overrides it to also gather slot-resident instants. Unordered;
-        an instant appears exactly once per index registration, so the
-        validation layer can cross-check the index against the buckets.
+        Unordered; an instant appears exactly once per heap
+        registration, so the validation layer can cross-check the heap
+        against the buckets.
         """
         return list(self._heap)
 
@@ -481,344 +478,3 @@ class SimClock:
 
     def __call__(self) -> float:
         return self._sim.now
-
-
-def wheel_enabled() -> bool:
-    """Whether ``REPRO_WHEEL`` asks for the calendar-queue simulator.
-
-    Default **off**: on the workloads this repository simulates, the
-    bucketed heap already collapses most scheduling onto dict hits (the
-    heap only sees *distinct* instants) and heap traffic is a few
-    percent of the profile, so the wheel's win is within noise — see
-    DESIGN.md §5 for the measured numbers. The wheel is kept available
-    for workloads with much denser instant sets.
-    """
-    raw = os.environ.get("REPRO_WHEEL", "").strip().lower()
-    if raw in ("", "off", "0", "no", "false"):
-        return False
-    if raw in ("on", "1", "yes", "true"):
-        return True
-    raise ValueError(f"REPRO_WHEEL must be on/off (or 1/0/yes/no), got {raw!r}")
-
-
-def make_simulator() -> Simulator:
-    """Build the simulator the ``REPRO_WHEEL`` knob asks for.
-
-    The validation layer ignores the knob — ``ValidatingSimulator``
-    stays heap-only so the checked dispatch core has exactly one
-    implementation to mirror.
-    """
-    return WheelSimulator() if wheel_enabled() else Simulator()
-
-
-class WheelSimulator(Simulator):
-    """Calendar-queue (time-wheel) instant index over the same buckets.
-
-    The bucket layer — one FIFO bucket per distinct pending instant,
-    entries in submission order — is inherited unchanged; only the
-    *instant index* differs. Instead of one binary heap over all
-    pending instants, instants within the near-future horizon
-    ``[cursor, cursor + n_slots) × slot_width`` are spread across
-    ``n_slots`` wheel slots (slot = ``int(t / width) % n_slots``), and
-    the drain loop walks slots in order. Each slot is a tiny min-heap
-    of the instants that hash to it, so filing is O(log slot) with
-    slot sizes of a handful; instants beyond the horizon overflow to
-    the inherited ``_heap`` and migrate into the wheel lazily as the
-    cursor approaches them.
-
-    Dispatch order is bit-identical to :class:`Simulator`: the index
-    only has to surface instants in increasing order, and the bucket
-    layer already fixes the order within an instant. The physical
-    slot-sharing invariant (at most one *logical* slot index resident
-    per physical slot) holds because the cursor is monotone and an
-    instant is only filed into the wheel while it is inside the
-    current horizon — with one deliberate exception: between drain
-    windows the cursor can sit past the slot of a still-schedulable
-    instant (a drain scans empty slots up to the next pending instant
-    before discovering it lies beyond ``t_end``, and ``run_until``
-    parks the cursor at ``t_end``'s slot). :meth:`_file_instant`
-    clamps such a *behind-cursor* filing into the cursor slot itself;
-    every other pending instant lives in a strictly later logical
-    slot, so the slot min-heap still surfaces the clamped instant
-    first and dispatch order is preserved.
-    """
-
-    __slots__ = ("_wheel", "_n_slots", "_inv_width", "_cursor", "_n_wheel")
-
-    def __init__(self, slot_width: float = 0.5, n_slots: int = 2048) -> None:
-        super().__init__()
-        if not slot_width > 0:
-            raise ValueError(f"slot_width must be positive, got {slot_width}")
-        if n_slots < 2:
-            raise ValueError(f"n_slots must be at least 2, got {n_slots}")
-        #: physical slots; each is a min-heap of pending instants
-        self._wheel: list = [[] for _ in range(n_slots)]
-        self._n_slots = n_slots
-        self._inv_width = 1.0 / slot_width
-        #: logical slot index of the drain front (monotone)
-        self._cursor = 0
-        #: instants currently filed in wheel slots (vs. the overflow heap)
-        self._n_wheel = 0
-
-    def pending_instants(self) -> list:
-        """Overflow-heap instants plus every slot-resident instant."""
-        instants = list(self._heap)
-        for slot in self._wheel:
-            instants.extend(slot)
-        return instants
-
-    def _file_instant(self, time: float) -> None:
-        """Register a newly-pending instant in the wheel (or, beyond
-        the horizon, in the overflow heap)."""
-        idx = int(time * self._inv_width)
-        off = idx - self._cursor
-        if 0 <= off < self._n_slots:
-            heappush(self._wheel[idx % self._n_slots], time)
-        elif off < 0:
-            # Behind the drain front. The cursor can legitimately sit
-            # past this instant's slot between windows (see the class
-            # docstring), and filing into ``idx``'s own physical slot
-            # would park the instant behind the cursor until the wheel
-            # wraps — dispatching it after later-timed events. Clamp it
-            # into the *cursor* slot instead: all other pending wheel
-            # instants occupy strictly later logical slots (times in
-            # later slot windows) and the overflow heap is further out
-            # still, so the slot min-heap pops this instant first and
-            # order is preserved.
-            heappush(self._wheel[self._cursor % self._n_slots], time)
-        else:
-            heappush(self._heap, time)
-            return
-        self._n_wheel += 1
-
-    def _file(self, time: float, entry) -> None:
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = entry
-            self._file_instant(time)
-        elif bucket.__class__ is list:
-            bucket.append(entry)
-        else:
-            buckets[time] = [bucket, entry]
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        time = self.now + delay
-        if not (delay >= 0.0 and time < _INF):
-            self._reject(delay, time)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = (fn, args)
-            self._file_instant(time)
-        elif bucket.__class__ is list:
-            bucket.append((fn, args))
-        else:
-            buckets[time] = [bucket, (fn, args)]
-
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        if not (time >= self.now and time < _INF):
-            self._reject_at(time)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = (fn, args)
-            self._file_instant(time)
-        elif bucket.__class__ is list:
-            bucket.append((fn, args))
-        else:
-            buckets[time] = [bucket, (fn, args)]
-
-    def _drain(self, t_end: float) -> int:
-        heap = self._heap
-        wheel = self._wheel
-        n_slots = self._n_slots
-        inv = self._inv_width
-        pop = heappop
-        push = heappush
-        take = self._buckets.pop
-        processed = self._events_processed
-        start = processed
-        cursor = self._cursor
-        while True:
-            if not self._n_wheel:
-                # Wheel dry: jump the cursor straight to the earliest
-                # overflow instant instead of scanning empty slots.
-                if not heap or heap[0] >= t_end:
-                    break
-                jump = int(heap[0] * inv)
-                if jump > cursor:
-                    cursor = jump
-                    self._cursor = cursor
-            # Lazily migrate overflow instants that entered the horizon
-            # (the overflow heap pops in time order, hence idx order).
-            horizon = cursor + n_slots
-            while heap and int(heap[0] * inv) < horizon:
-                t = pop(heap)
-                push(wheel[int(t * inv) % n_slots], t)
-                self._n_wheel += 1
-            slot = wheel[cursor % n_slots]
-            while slot:
-                time = slot[0]
-                if time >= t_end:
-                    self._events_processed = processed
-                    return processed - start
-                pop(slot)
-                self._n_wheel -= 1
-                self.now = time
-                bucket = take(time)
-                cls = bucket.__class__
-                if cls is tuple:  # singleton fast entry — the common case
-                    processed += 1
-                    args = bucket[1]
-                    if args:
-                        bucket[0](*args)
-                    else:
-                        bucket[0]()
-                    continue
-                if cls is not list:
-                    bucket = (bucket,)
-                for entry in bucket:
-                    cls = entry.__class__
-                    if cls is tuple:
-                        processed += 1
-                        args = entry[1]
-                        if args:
-                            entry[0](*args)
-                        else:
-                            entry[0]()
-                    elif cls is Event:
-                        if entry.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        entry._sim = None
-                        processed += 1
-                        entry.fn(*entry.args)
-                    else:  # a _Chain: dispatch the (rest of the) train
-                        chain_fn = entry.fn
-                        argslist = entry.argslist
-                        i = entry.idx
-                        n = len(argslist)
-                        while i < n:
-                            args = argslist[i]
-                            i += 1
-                            processed += 1
-                            chain_fn(*args)
-                        entry.idx = n
-            cursor += 1
-            self._cursor = cursor
-        self._events_processed = processed
-        return processed - start
-
-    def _drain_limited(self, t_end: float, limit: int) -> int:
-        heap = self._heap
-        wheel = self._wheel
-        buckets = self._buckets
-        n_slots = self._n_slots
-        inv = self._inv_width
-        processed = self._events_processed
-        start = processed
-        limit += processed
-        cursor = self._cursor
-        while processed < limit:
-            if not self._n_wheel:
-                if not heap or heap[0] >= t_end:
-                    break
-                jump = int(heap[0] * inv)
-                if jump > cursor:
-                    cursor = jump
-                    self._cursor = cursor
-            horizon = cursor + n_slots
-            while heap and int(heap[0] * inv) < horizon:
-                t = heappop(heap)
-                heappush(wheel[int(t * inv) % n_slots], t)
-                self._n_wheel += 1
-            slot = wheel[cursor % n_slots]
-            while slot and processed < limit:
-                time = slot[0]
-                if time >= t_end:
-                    self._events_processed = processed
-                    return processed - start
-                heappop(slot)
-                self._n_wheel -= 1
-                self.now = time
-                bucket = buckets.pop(time)
-                if bucket.__class__ is not list:
-                    bucket = [bucket]
-                i = 0
-                n_entries = len(bucket)
-                while i < n_entries:
-                    if processed >= limit:
-                        break
-                    entry = bucket[i]
-                    cls = entry.__class__
-                    if cls is tuple:
-                        i += 1
-                        processed += 1
-                        entry[0](*entry[1])
-                    elif cls is Event:
-                        i += 1
-                        if entry.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        entry._sim = None
-                        processed += 1
-                        entry.fn(*entry.args)
-                    else:
-                        chain_fn = entry.fn
-                        argslist = entry.argslist
-                        j = entry.idx
-                        n = len(argslist)
-                        while j < n and processed < limit:
-                            args = argslist[j]
-                            j += 1
-                            processed += 1
-                            chain_fn(*args)
-                        entry.idx = j
-                        if j < n:
-                            break  # budget expired mid-train: keep anchor
-                        i += 1
-                if i < n_entries:
-                    # Budget expired mid-bucket: re-file the suffix
-                    # ahead of anything scheduled at this instant
-                    # during the partial dispatch (same discipline as
-                    # the base class).
-                    rest = bucket[i:]
-                    tail = buckets.get(time)
-                    if tail is None:
-                        self._file_instant(time)
-                    elif tail.__class__ is list:
-                        rest.extend(tail)
-                    else:
-                        rest.append(tail)
-                    buckets[time] = rest
-                    self._events_processed = processed
-                    return processed - start
-            if slot:
-                break  # budget expired exactly at a bucket boundary
-            cursor += 1
-            self._cursor = cursor
-        self._events_processed = processed
-        return processed - start
-
-    def run_until(self, t_end: float) -> None:
-        super().run_until(t_end)
-        # Every remaining instant is >= t_end, hence >= the slot of
-        # t_end — advancing the cursor here keeps post-window filings
-        # inside the wheel instead of bouncing them off the overflow
-        # heap. (Monotone in t_end, so never moves backwards.)
-        jump = int(t_end * self._inv_width)
-        if jump > self._cursor:
-            self._cursor = jump
-
-    def run(self, max_events: int = 100_000_000) -> None:
-        executed = self._drain_limited(_INF, max_events)
-        if executed >= max_events:
-            if self.pending_live:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-            self._heap.clear()
-            self._buckets.clear()
-            for slot in self._wheel:
-                slot.clear()
-            self._n_wheel = 0
-            self._cancelled = 0

@@ -1,7 +1,7 @@
 """One frozen resolution of every behaviour-affecting ``REPRO_*`` knob.
 
 Historically each component read its own environment knob at
-construction time (``burst_factor()`` in ``Host.__init__``,
+construction time (``ddio_forced()`` in the LLC wiring,
 ``uncore_enabled()`` in the CHA wiring, ...). Within one process that
 was merely untidy; with several hosts composed into one cluster it
 became a correctness hazard — two hosts built a few statements apart
@@ -33,9 +33,6 @@ class KnobSet:
       kernels (``REPRO_KERNEL`` / ``REPRO_UNCORE``; bit-identical by
       contract, fingerprinted so a cached/checkpointed result can
       never mask a divergence);
-    * ``wheel`` — calendar-queue engine (``REPRO_WHEEL``);
-    * ``burst`` — macro-event burst factor (``REPRO_BURST``);
-    * ``pool`` — Request free-list pooling (``REPRO_POOL``);
     * ``ddio`` / ``bank_reg`` — tri-state config force-overrides
       (``REPRO_DDIO`` / ``REPRO_BANK_REG``; ``None`` defers to the
       :class:`~repro.topology.presets.HostConfig`);
@@ -44,9 +41,6 @@ class KnobSet:
 
     kernel: bool
     uncore: bool
-    wheel: bool
-    burst: int
-    pool: bool
     ddio: Optional[bool]
     bank_reg: Optional[bool]
     validate: bool
@@ -56,8 +50,6 @@ class KnobSet:
         """Read every knob from the environment, once, right now."""
         from repro.dram.kernel import kernel_enabled
         from repro.dram.regulator import bank_reg_forced
-        from repro.sim.engine import wheel_enabled
-        from repro.sim.records import burst_factor, pool_enabled
         from repro.uncore.kernel import uncore_enabled
         from repro.uncore.llc import ddio_forced
         from repro.validate.invariants import enabled as validate_enabled
@@ -65,9 +57,6 @@ class KnobSet:
         return cls(
             kernel=kernel_enabled(),
             uncore=uncore_enabled(),
-            wheel=wheel_enabled(),
-            burst=burst_factor(),
-            pool=pool_enabled(),
             ddio=ddio_forced(),
             bank_reg=bank_reg_forced(),
             validate=validate_enabled(),

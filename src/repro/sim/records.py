@@ -11,30 +11,9 @@ timestamps.
 from __future__ import annotations
 
 import enum
-import os
 from typing import List, Optional
 
 CACHELINE_BYTES = 64
-
-
-def burst_factor() -> int:
-    """The configured macro-event burst factor (``REPRO_BURST``).
-
-    1 (the default) means exact per-cacheline simulation; N>1 lets
-    device DMA engines and core issue loops emit one macro-request per
-    N-line burst (see DESIGN.md §5). Invalid values raise so typos
-    don't silently fall back to exact mode.
-    """
-    raw = os.environ.get("REPRO_BURST", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_BURST must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"REPRO_BURST must be >= 1, got {n}")
-    return n
 
 
 class RequestSource(enum.Enum):
@@ -96,7 +75,6 @@ class Request:
         "on_cha_admit",
         "tag",
         "queue_seq",
-        "lines",
         "cls_id",
         "ucls_id",
     )
@@ -138,21 +116,12 @@ class Request:
         self.tag = None
         # Monotonic admission order within the MC queue (scheduler age).
         self.queue_seq = 0
-        # Cachelines this request stands for: 1 in exact mode, the
-        # burst factor for REPRO_BURST macro-requests. Every counter
-        # and credit update is weighted by it.
-        self.lines = 1
         # Interned traffic-class id, assigned by the SoA channel kernel
         # at MC admission (dram/kernel.py). -1 = not yet interned.
         self.cls_id = -1
         # Uncore-kernel class id, assigned at CHA admission
         # (uncore/kernel.py) — distinct interning table from cls_id.
         self.ucls_id = -1
-
-    @property
-    def is_read(self) -> bool:
-        """True for memory-level reads."""
-        return self.kind is RequestKind.READ
 
     @property
     def is_write(self) -> bool:
@@ -182,15 +151,11 @@ class Request:
 # back via release_request(); issue sites acquire via
 # acquire_request(), which reinitialises every slot a fresh Request
 # would have, so recycling is observationally identical to
-# construction. REPRO_POOL=off disables recycling (diagnostic aid:
-# any behavioural difference with the pool on is a lifetime bug).
+# construction. Tests set _POOL_CAP to 0 to disable recycling (any
+# behavioural difference with the pool on is a lifetime bug).
 
 _POOL: List[Request] = []
 _POOL_CAP = 4096
-_POOL_ENABLED = os.environ.get("REPRO_POOL", "on").strip().lower() not in (
-    "off",
-    "0",
-)
 
 
 def acquire_request(
@@ -220,7 +185,6 @@ def acquire_request(
     req.row_id = -1
     req.row_outcome = None
     req.queue_seq = 0
-    req.lines = 1
     # Callbacks and tag were already cleared at release time.
     return req
 
@@ -237,7 +201,7 @@ def release_request(req: Request) -> None:
     req.on_serviced = None
     req.on_cha_admit = None
     req.tag = None
-    if _POOL_ENABLED and len(_POOL) < _POOL_CAP:
+    if len(_POOL) < _POOL_CAP:
         _POOL.append(req)
 
 
@@ -258,7 +222,3 @@ def restore_pool(entries: List[Request]) -> None:
     _POOL.clear()
     _POOL.extend(entries)
 
-
-def pool_enabled() -> bool:
-    """Whether request recycling is on (the ``REPRO_POOL`` knob)."""
-    return _POOL_ENABLED

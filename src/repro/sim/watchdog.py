@@ -1,11 +1,10 @@
 """No-progress (livelock) detection for chunked simulation drives.
 
-Two shipped bug classes motivated this module: the PR 6 wheel-cursor
-backwards clock and the PR 7 float-boundary pump livelock, where a
-DRAM pump re-armed itself at a ``next_ready`` instant that token
-accrual kept landing ulps short of — the clock froze while the event
-count grew without bound, and the process simply hung. Both share one
-observable signature: **events keep firing but simulated time does not
+The float-boundary pump livelock motivated this module: a DRAM pump
+re-armed itself at a ``next_ready`` instant that token accrual kept
+landing ulps short of — the clock froze while the event count grew
+without bound, and the process simply hung. Its observable
+signature: **events keep firing but simulated time does not
 advance**, even though pending work exists.
 
 :class:`Watchdog` detects exactly that signature. ``Host.run`` probes

@@ -148,17 +148,12 @@ class LatencyStat:
         self.count = 0
         self.max_seen = 0.0
 
-    def record(self, latency: float, n: int = 1) -> None:
-        """Accumulate one latency sample (``n`` identical samples for
-        a burst-mode macro-request standing for ``n`` cachelines)."""
+    def record(self, latency: float) -> None:
+        """Accumulate one latency sample."""
         if latency < 0:
             raise ValueError(f"negative latency {latency}")
-        if n == 1:
-            self.total += latency
-            self.count += 1
-        else:
-            self.total += latency * n
-            self.count += n
+        self.total += latency
+        self.count += 1
         if latency > self.max_seen:
             self.max_seen = latency
 

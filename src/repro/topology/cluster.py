@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.pcie.nic import Nic
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.knobs import KnobSet
 from repro.sim.records import CACHELINE_BYTES
 from repro.topology.fabric import (
@@ -97,11 +97,6 @@ class ClusterResult:
         """One host's RunResult."""
         return self.hosts[index]
 
-    @property
-    def total_mem_bw(self) -> float:
-        """Summed memory bandwidth across hosts (bytes/ns)."""
-        return sum(result.mem_bw_total for result in self.hosts)
-
 
 class Cluster:
     """N namespaced hosts + a leaf/spine fabric on one engine.
@@ -142,7 +137,7 @@ class Cluster:
         #: cannot observe different knob values (see repro.sim.knobs).
         self.knobs = KnobSet.resolve() if knobs is None else knobs
         self.validate = self.knobs.validate if validate is None else bool(validate)
-        self.sim = ValidatingSimulator() if self.validate else make_simulator()
+        self.sim = ValidatingSimulator() if self.validate else Simulator()
         self.hosts: List[Host] = [
             Host(
                 config,

@@ -26,7 +26,7 @@ from repro.pcie.nic import Nic
 from repro.pcie.nvme import NvmeDevice
 from repro.sim import checkpoint, watchdog
 from repro.sim.credit import DomainSnapshot, DomainTracker
-from repro.sim.engine import SimClock, Simulator, make_simulator
+from repro.sim.engine import SimClock, Simulator
 from repro.sim.knobs import KnobSet
 from repro.sim.records import CACHELINE_BYTES, RequestKind
 from repro.telemetry.counters import CounterHub
@@ -165,7 +165,6 @@ class Host:
         config: HostConfig,
         seed: int = 1,
         validate: Optional[bool] = None,
-        burst: Optional[int] = None,
         sim: Optional[Simulator] = None,
         namespace: str = "",
         knobs: Optional[KnobSet] = None,
@@ -176,10 +175,6 @@ class Host:
         #: one set and passes it to every host, so two hosts on the
         #: same clock cannot observe different knob values.
         self.knobs = KnobSet.resolve() if knobs is None else knobs
-        #: macro-event burst factor (lines per macro-request); ``None``
-        #: defers to the ``REPRO_BURST`` environment knob. 1 (the
-        #: default) is the exact per-line simulation.
-        self.burst = self.knobs.burst if burst is None else max(1, int(burst))
         #: runtime invariant checking (repro.validate): ``None``
         #: defers to the ``REPRO_VALIDATE`` environment knob.
         self.validate = self.knobs.validate if validate is None else bool(validate)
@@ -195,7 +190,7 @@ class Host:
         if sim is not None:
             self.sim = sim
         else:
-            self.sim = ValidatingSimulator() if self.validate else make_simulator()
+            self.sim = ValidatingSimulator() if self.validate else Simulator()
         self._validator: Optional[Validator] = Validator() if self.validate else None
         self.hub = CounterHub(namespace)
         #: region-placement seed (part of the checkpoint run key)
@@ -368,7 +363,6 @@ class Host:
             lfb_size=lfb_size or self.config.effective_lfb_size,
             t_core_to_cha=self.config.t_core_to_cha,
             t_data_return=self.config.t_data_return,
-            burst=self.burst,
         )
         self.cores.append(core)
         # The LFB backs both C2M domains: loads hold an entry until
@@ -431,7 +425,6 @@ class Host:
             ),
             t_io_gap=t_io_gap,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         device.t_host_return = self.config.t_iio_to_cha + self.config.t_cha_to_mc
         self.devices[name] = device
@@ -460,7 +453,6 @@ class Host:
             ),
             t_host_return=self.config.t_iio_to_cha + self.config.t_cha_to_mc,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         self.devices[name] = device
         return device
@@ -489,7 +481,6 @@ class Host:
             buffer_bytes=buffer_bytes,
             pfc_enabled=pfc_enabled,
             traffic_class=traffic_class,
-            burst=self.burst,
         )
         nic.t_host_return = self.config.t_iio_to_cha + self.config.t_cha_to_mc
         self.devices[name] = nic

@@ -135,12 +135,12 @@ class LastLevelCache:
 
     def _dma_installed(self, line: _Line, now: float) -> None:
         line.t_install = now
-        self._ddio_pool.acquire(now, 1)
+        self._ddio_pool.acquire(now)
 
     def _dma_evicted(self, line: _Line, now: float) -> None:
         if self._ddio_latency is not None:
-            self._ddio_latency.record(now - line.t_install, 1)
-        self._ddio_pool.release_held(now, line.t_install, 1)
+            self._ddio_latency.record(now - line.t_install)
+        self._ddio_pool.release_held(now, line.t_install)
 
     # ------------------------------------------------------------------
     # Lookups

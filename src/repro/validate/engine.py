@@ -236,74 +236,13 @@ def verify_heap(sim: Simulator) -> int:
                     f"heap property violated at index {parent}",
                     details={"parent": time, "child": heap[child]},
                 )
-    # A WheelSimulator splits the instant index: near-future instants
-    # live in wheel slots (each a mini-heap), far-future ones in the
-    # overflow heap checked above. Check the wheel-specific placement
-    # invariants here; the index/bucket synchronisation below uses the
-    # engines' canonical pending_instants() view of both halves.
-    wheel = getattr(sim, "_wheel", None)
-    if wheel is not None:
-        n_slots = sim._n_slots
-        inv = sim._inv_width
-        cursor = sim._cursor
-        in_wheel = 0
-        for pos, slot in enumerate(wheel):
-            m = len(slot)
-            for parent in range(m):
-                time = slot[parent]
-                for child in (2 * parent + 1, 2 * parent + 2):
-                    if child < m and slot[child] < time:
-                        raise InvariantViolation(
-                            "engine",
-                            "wheel-slot-order",
-                            f"slot {pos} heap property violated at {parent}",
-                            details={"parent": time, "child": slot[child]},
-                        )
-                idx = int(time * inv)
-                if idx < cursor:
-                    # Behind-cursor instants are clamped into the
-                    # cursor slot at filing time (see
-                    # WheelSimulator._file_instant) so they surface
-                    # before every later logical slot; anywhere else
-                    # they would dispatch out of order.
-                    if pos != cursor % n_slots:
-                        raise InvariantViolation(
-                            "engine",
-                            "wheel-slot-membership",
-                            f"behind-cursor instant t={time} not in the"
-                            " cursor slot",
-                            details={"slot": pos, "idx": idx, "cursor": cursor},
-                        )
-                elif idx % n_slots != pos or idx >= cursor + n_slots:
-                    raise InvariantViolation(
-                        "engine",
-                        "wheel-slot-membership",
-                        f"instant t={time} filed in the wrong slot",
-                        details={"slot": pos, "idx": idx, "cursor": cursor},
-                    )
-            in_wheel += m
-        if in_wheel != sim._n_wheel:
-            raise InvariantViolation(
-                "engine",
-                "wheel-count",
-                "wheel instant counter disagrees with a slot walk",
-                details={"counter": sim._n_wheel, "walk": in_wheel},
-            )
-        for time in heap:
-            if int(time * inv) < cursor:
-                raise InvariantViolation(
-                    "engine",
-                    "wheel-overflow-order",
-                    f"overflow instant t={time} is behind the cursor",
-                    details={"cursor": cursor},
-                )
     instants = sim.pending_instants()
     n = len(instants)
     if n != len(buckets) or len(set(instants)) != n or set(instants) != set(buckets):
         raise InvariantViolation(
             "engine",
             "heap-bucket-sync",
-            "pending instants in the index disagree with the buckets",
+            "pending instants in the heap disagree with the buckets",
             details={"index": n, "buckets": len(buckets)},
         )
     for time, bucket in buckets.items():

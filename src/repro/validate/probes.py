@@ -106,7 +106,7 @@ class Validator:
         """Structural walk over a checkpoint-restored host.
 
         Run automatically by ``Host.restore()`` under
-        ``REPRO_VALIDATE=1``: heap/wheel structure (verify_heap), pool
+        ``REPRO_VALIDATE=1``: heap structure (verify_heap), pool
         bounds and credit conservation, CHA/LLC (``verify_tags``) /
         channel (kernel ``verify_consistency``) / PCIe accounting. The
         statistical probes (Little's law, domain bounds) are skipped —
@@ -240,12 +240,12 @@ class Validator:
         self._now = host.sim.now
         cha = host.cha
         self._require(
-            cha.ingress_occ.value == cha.admission_queue_lines,
+            cha.ingress_occ.value == cha.admission_queue_len,
             "cha.ingress",
             "occupancy-accounting",
             "ingress occupancy counter disagrees with the FCFS queue",
             counter=cha.ingress_occ.value,
-            queue=cha.admission_queue_lines,
+            queue=cha.admission_queue_len,
         )
         self._require(
             cha.read_stage.value >= cha.read_backlog_len,
@@ -265,7 +265,7 @@ class Validator:
         )
         kernel = cha.kernel
         if kernel is not None:
-            # SoA uncore kernel: incremental line counters, intern
+            # SoA uncore kernel: inlined occupancy updates, intern
             # tables and pool conservation must agree exactly with
             # direct walks of the shared queues.
             try:
@@ -354,14 +354,11 @@ class Validator:
             in_flight_reads = channel.rpq_count - bank_reads
             in_flight_writes = channel.wpq_count - bank_writes
             # At most one request has been popped for transmit but not
-            # yet completed (the channel serializes transmissions); a
-            # burst-mode macro-request accounts for up to ``burst``
-            # lines in flight at once.
-            max_in_flight = max(1, getattr(host, "burst", 1))
+            # yet completed (the channel serializes transmissions).
             self._require(
                 in_flight_reads >= 0
                 and in_flight_writes >= 0
-                and in_flight_reads + in_flight_writes <= max_in_flight,
+                and in_flight_reads + in_flight_writes <= 1,
                 name,
                 "bank-fifo-accounting",
                 "bank FIFO contents do not reconcile with queue counts",

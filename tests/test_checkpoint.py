@@ -12,7 +12,8 @@ import pytest
 
 from repro import Host, RequestKind, cascade_lake
 from repro.sim import checkpoint, watchdog
-from repro.sim.engine import Simulator, WheelSimulator
+from repro.sim.engine import Simulator
+from repro.validate import ValidatingSimulator
 from repro.validate.harness import (
     _environment,
     assert_results_identical,
@@ -90,22 +91,7 @@ class TestPendingEntries:
         assert sim.pending_live == 7
         assert sorted(sim.pending_instants()) == [3.0, 5.0, 7.0, 9.0]
 
-    def test_wheel_pending_instants_gathers_slots_and_overflow(self):
-        sim = WheelSimulator()
-        rec = _Recorder()
-        rec.sim = sim
-        near = [1.0, 2.0, 2.0, 150.0]
-        for t in near:
-            sim.schedule(t, rec.hit, t)
-        # Beyond the wheel horizon (n_slots * slot_width = 1024 ns):
-        # lands in the overflow heap.
-        far = 5_000.0
-        sim.schedule(far, rec.hit, "far")
-        instants = sim.pending_instants()
-        assert sorted(instants) == [1.0, 2.0, 150.0, far]
-        assert set(instants) == set(sim._buckets)
-
-    @pytest.mark.parametrize("engine", [Simulator, WheelSimulator])
+    @pytest.mark.parametrize("engine", [Simulator, ValidatingSimulator])
     def test_pending_walk_agrees_with_pending_property(self, engine):
         sim = engine()
         rec = _Recorder()
@@ -155,9 +141,9 @@ class _Feeder:
 
 
 class TestEnginePickleRoundTrip:
-    @pytest.mark.parametrize("engine", [Simulator, WheelSimulator])
+    @pytest.mark.parametrize("engine", [Simulator, ValidatingSimulator])
     def test_cloned_simulator_fires_identical_suffix(self, engine):
-        sim = Simulator() if engine is Simulator else WheelSimulator()
+        sim = engine()
         rec = _Recorder()
         rec.sim = sim
         rng = random.Random(7)
@@ -241,20 +227,16 @@ class TestInterruptResume:
         )
 
     @pytest.mark.parametrize("kernel", ["on", "off"])
-    @pytest.mark.parametrize("wheel", [None, "1"])
-    @pytest.mark.parametrize("burst", ["1", "4"])
     @pytest.mark.parametrize("ddio", [None, "1"])
-    def test_resume_across_knob_matrix(self, kernel, wheel, burst, ddio):
-        rng = random.Random(hash((kernel, wheel, burst, ddio)) & 0xFFFF)
-        with _environment(
-            REPRO_KERNEL=kernel, REPRO_WHEEL=wheel, REPRO_BURST=burst, REPRO_DDIO=ddio
-        ):
+    def test_resume_across_knob_matrix(self, kernel, ddio):
+        rng = random.Random(f"{kernel}-{ddio}")  # str seeds are not salted
+        with _environment(REPRO_KERNEL=kernel, REPRO_DDIO=ddio):
             resume_differential(
                 _build_host,
                 WARMUP,
                 MEASURE,
                 at_events=(rng.randrange(3_000, 40_000),),
-                context=f"kernel={kernel} wheel={wheel} burst={burst} ddio={ddio}",
+                context=f"kernel={kernel} ddio={ddio}",
             )
 
     def test_preempted_carries_path_and_warmup_interrupt_resumes(self, tmp_path):
@@ -333,12 +315,13 @@ class TestBlobIntegrity:
         path = tmp_path / "host.ckpt"
         from repro.experiments.runcache import encode_blob
 
-        path.write_bytes(
-            encode_blob({"format": "host-ckpt", "version": checkpoint.CKPT_VERSION + 1})
-        )
-        with pytest.raises(checkpoint.CheckpointError, match="version"):
-            checkpoint.load(path)
-        assert path.exists()  # future-version blobs are left intact
+        # A newer writer, and the previous format (Requests of another
+        # shape, a knob fingerprint with other keys).
+        for version in (checkpoint.CKPT_VERSION + 1, checkpoint.CKPT_VERSION - 1):
+            path.write_bytes(encode_blob({"format": "host-ckpt", "version": version}))
+            with pytest.raises(checkpoint.CheckpointError, match="version"):
+                checkpoint.load(path)
+            assert path.exists()  # mismatched blobs are left intact
 
     def test_knob_mismatch_refuses_resume(self, tmp_path):
         path = str(tmp_path / "host.ckpt")
@@ -398,23 +381,29 @@ print(result.lines_written, result.mem_bw_total.hex())
 """
 
 
-def _run_in_process(ckpt_path, *argv):
+def _run_script(script, *argv, **knobs):
+    """Run ``script`` in a fresh interpreter with no ``REPRO_*`` knobs
+    but ``knobs`` and the run cache off; return its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH", "")) if p
     )
-    env["REPRO_CKPT_PATH"] = str(ckpt_path)
     env["REPRO_CACHE"] = "off"
+    env.update(knobs)
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_IN_PROCESS, *argv],
+        [sys.executable, "-c", script, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _run_in_process(ckpt_path, *argv):
+    return _run_script(_RUN_IN_PROCESS, *argv, REPRO_CKPT_PATH=str(ckpt_path)).split()
 
 
 class TestRunIdentity:
@@ -468,6 +457,39 @@ class TestRunIdentity:
             build(**{variant: changed[variant]}), 1000.0, 2000.0
         )
         assert base != other
+
+
+_IDENTITY_PROBE = """
+import json
+
+from repro import Host, RequestKind, cascade_lake
+from repro.experiments.runcache import knob_namespace
+from repro.sim.checkpoint import _knob_fingerprint
+from repro.validate.harness import result_fingerprint
+
+host = Host(cascade_lake())
+host.add_stream_cores(2, store_fraction=0.5)
+host.add_raw_dma(RequestKind.WRITE)
+result = host.run(1_000.0, 3_000.0)
+print(json.dumps({
+    "namespace": knob_namespace().decode(),
+    "knobs": _knob_fingerprint(),
+    "result": result_fingerprint(result),
+}, sort_keys=True))
+"""
+
+
+class TestRetiredKnobs:
+    def test_retired_knobs_change_no_identity_or_result(self):
+        """The calendar-queue engine, macro-request burst and request
+        pool switch knobs are gone: set in a fresh interpreter (the pool
+        flag used to be read at import), they must leave the run-cache
+        namespace, the checkpoint knob fingerprint and a host run's
+        result exactly as when unset."""
+        retired = {"WHEEL": "1", "BURST": "4", "POOL": "off"}
+        unset = _run_script(_IDENTITY_PROBE)
+        knobs = {"REPRO_" + k: v for k, v in retired.items()}
+        assert _run_script(_IDENTITY_PROBE, **knobs) == unset
 
 
 # ----------------------------------------------------------------------

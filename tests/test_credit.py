@@ -1,7 +1,6 @@
-"""The unified credit runtime: CreditPool semantics, weighted (burst)
-credit conservation across all four Fig. 5 pools, live DomainSnapshots
-and the ``T <= C * 64 / L`` bound, Domain.from_snapshot, and the fig03
-bit-exactness fingerprint."""
+"""The unified credit runtime: CreditPool semantics, the hand-inlined
+pool recipes, live DomainSnapshots and the ``T <= C * 64 / L`` bound,
+Domain.from_snapshot, and the fig03 bit-exactness fingerprint."""
 
 from pathlib import Path
 
@@ -14,7 +13,6 @@ from repro.model.validation import (
     calibrate_read_constant,
     estimate_c2m_throughput,
 )
-from repro.sim import records
 from repro.sim.credit import CreditPool, DomainSnapshot
 from repro.sim.records import CACHELINE_BYTES
 from repro.telemetry.counters import OccupancyCounter
@@ -34,6 +32,12 @@ def make_pool(capacity=8, soft=False, name="test.pool"):
     return CreditPool(name, occ, capacity=capacity, soft=soft)
 
 
+def hold(pool, now, k):
+    """Acquire ``k`` credits at ``now``, one request each."""
+    for _ in range(k):
+        pool.acquire(now)
+
+
 def colocated_host(**kwargs):
     """All four domains active: C2M-ReadWrite cores + DMA write + read."""
     host = Host(cascade_lake(), seed=1, **kwargs)
@@ -46,68 +50,68 @@ def colocated_host(**kwargs):
 class TestCreditPool:
     def test_acquire_release_move_counters_and_occupancy(self):
         pool = make_pool(capacity=4)
-        pool.acquire(1.0, 2)
+        hold(pool, 1.0, 2)
         assert pool.in_use == 2
         assert pool.alloc_count == 2 and pool.free_count == 0
         assert pool.free_credits == 2
-        pool.release(3.0, 2)
+        pool.release(3.0)
+        pool.release(3.0)
         assert pool.in_use == 0
         assert pool.free_count == 2
 
-    def test_weighted_moves_count_lines_not_calls(self):
-        pool = make_pool(capacity=64)
-        pool.acquire(0.0, 16)
-        pool.acquire(0.0, 16)
-        assert pool.alloc_count == 32
-        assert pool.in_use == 32
-
     def test_has_room_and_can_accept_track_reservations(self):
         pool = make_pool(capacity=4)
-        pool.acquire(0.0, 2)
-        assert pool.has_room(2)
-        assert not pool.has_room(3)
-        pool.reserve(2)
+        hold(pool, 0.0, 2)
+        assert pool.has_room()
+        pool.reserve()
+        pool.reserve()
         # has_room ignores reservations; can_accept counts them.
-        assert pool.has_room(2)
-        assert not pool.can_accept(1)
-        pool.commit(1.0, 2)
+        assert pool.has_room()
+        assert not pool.can_accept()
+        pool.commit(1.0)
+        pool.commit(1.0)
         assert pool.reserved == 0
         assert pool.in_use == 4
-        assert not pool.has_room(1)
+        assert not pool.has_room()
 
     def test_commit_counts_alloc_reserve_does_not(self):
         pool = make_pool(capacity=4)
-        pool.reserve(3)
+        for _ in range(3):
+            pool.reserve()
         assert pool.alloc_count == 0
-        pool.commit(0.5, 3)
+        for _ in range(3):
+            pool.commit(0.5)
         assert pool.alloc_count == 3
 
     def test_release_held_accumulates_domain_latency(self):
         pool = make_pool(capacity=8)
-        pool.acquire(10.0, 4)
-        pool.release_held(110.0, 10.0, 4)
-        # 4 lines each held 100 ns -> lines-weighted mean is 100.
+        hold(pool, 10.0, 4)
+        for _ in range(4):
+            pool.release_held(110.0, 10.0)
+        # 4 lines each held 100 ns -> mean is 100.
         assert pool.latency.count == 4
         assert pool.latency.average == pytest.approx(100.0)
         assert pool.in_use == 0 and pool.free_count == 4
 
     def test_occupancy_integral_time_weighted(self):
         pool = make_pool(capacity=8)
-        pool.acquire(0.0, 4)  # 4 held over [0, 10)
-        pool.release(10.0, 2)  # 2 held over [10, 20)
+        hold(pool, 0.0, 4)  # 4 held over [0, 10)
+        pool.release(10.0)
+        pool.release(10.0)  # 2 held over [10, 20)
         assert pool.average(20.0) == pytest.approx(3.0)
 
     def test_soft_pool_admission_vs_occupancy(self):
         pool = make_pool(capacity=2, soft=True)
-        pool.acquire(0.0, 5)  # overshoot is legal (DDIO writebacks)
+        hold(pool, 0.0, 5)  # overshoot is legal (DDIO writebacks)
         assert pool.in_use == 5
-        assert not pool.has_room(1)  # but admission is still gated
+        assert not pool.has_room()  # but admission is still gated
 
     def test_unbounded_pool(self):
         pool = CreditPool("unbounded", OccupancyCounter())
         assert pool.capacity is None
-        assert pool.has_room(10**9)
-        assert pool.can_accept(10**9)
+        hold(pool, 0.0, 1000)
+        assert pool.has_room()
+        assert pool.can_accept()
         assert pool.free_credits == 0
 
     def test_rejects_nonpositive_capacity(self):
@@ -120,20 +124,20 @@ class TestWaiters:
 
     def test_fired_in_registration_order_exactly_once(self):
         pool = make_pool(capacity=2)
-        pool.acquire(0.0, 2)
+        hold(pool, 0.0, 2)
         fired = []
         for i in range(4):
             pool.add_waiter(lambda i=i: fired.append(i))
-        pool.release(1.0, 1)
+        pool.release(1.0)
         assert fired == [0, 1, 2, 3]
         assert pool.waiter_count == 0
-        pool.acquire(2.0, 1)
-        pool.release(3.0, 1)  # nobody registered: no re-fire
+        pool.acquire(2.0)
+        pool.release(3.0)  # nobody registered: no re-fire
         assert fired == [0, 1, 2, 3]
 
     def test_reregistration_from_callback_waits_for_next_release(self):
         pool = make_pool(capacity=1)
-        pool.acquire(0.0, 1)
+        pool.acquire(0.0)
         fires = []
 
         def still_blocked():
@@ -141,13 +145,13 @@ class TestWaiters:
             pool.add_waiter(still_blocked)
 
         pool.add_waiter(still_blocked)
-        pool.release(1.0, 1)
+        pool.release(1.0)
         # One fire per release — the re-registration must not be
         # drained by the release that triggered it.
         assert fires == [0]
         assert pool.waiter_count == 1
-        pool.acquire(2.0, 1)
-        pool.release(3.0, 1)
+        pool.acquire(2.0)
+        pool.release(3.0)
         assert fires == [0, 1]
 
 
@@ -157,9 +161,8 @@ class TestInlinedFastPaths:
 
     The hot paths in ``uncore/cha.py`` (``_deliver_read`` /
     ``_deliver_write``), ``uncore/kernel.py`` (the fused CHA/IIO
-    admission chain: stage acquires, IIO alloc/release-held, the
-    batched per-train acquires in ``pcie/device.py`` / ``cpu/core.py``)
-    and ``dram/kernel.py`` (``enqueue_read`` / ``enqueue_write`` /
+    admission chain: stage acquires, IIO alloc/release-held) and
+    ``dram/kernel.py`` (``enqueue_read`` / ``enqueue_write`` /
     ``_on_transmit_done_*`` / ``_transmit_read``) inline
     ``CreditPool.acquire``, ``CreditPool.release``,
     ``CreditPool.release_held``, ``CreditPool.commit`` and
@@ -187,15 +190,14 @@ class TestInlinedFastPaths:
         canonical, inlined = make_pool(), make_pool()
         fired = []
         for tag, pool in (("canonical", canonical), ("inlined", inlined)):
-            pool.acquire(0.0, 3)
+            hold(pool, 0.0, 3)
             pool.add_waiter(lambda tag=tag: fired.append(tag))
-        canonical.release(1.0, 3)
+        canonical.release(1.0)
         # The inlined recipe, verbatim from cha._deliver_read/_deliver_write
         # and kernel._on_transmit_done_read/_on_transmit_done_write:
-        lines = 3
         pool = inlined
-        pool.free_count += lines
-        pool._occ_update(1.0, -lines)
+        pool.free_count += 1
+        pool._occ_update(1.0, -1)
         if pool._waiters:
             pool._drain_waiters()
         assert self._pool_state(inlined) == self._pool_state(canonical)
@@ -204,14 +206,14 @@ class TestInlinedFastPaths:
     def test_inlined_commit_matches_canonical(self):
         canonical, inlined = make_pool(), make_pool()
         for pool in (canonical, inlined):
-            pool.reserve(2)
-        canonical.commit(1.0, 2)
+            pool.reserve()
+            pool.reserve()
+        canonical.commit(1.0)
         # The inlined recipe, verbatim from kernel.enqueue_read/enqueue_write:
-        lines = 2
         pool = inlined
-        pool.reserved -= lines
-        pool.alloc_count += lines
-        pool._occ_update(1.0, lines)
+        pool.reserved -= 1
+        pool.alloc_count += 1
+        pool._occ_update(1.0, 1)
         assert self._pool_state(inlined) == self._pool_state(canonical)
 
     def test_inlined_acquire_matches_canonical_soft(self):
@@ -219,16 +221,15 @@ class TestInlinedFastPaths:
         # _admit_read/_admit_write stage acquires (soft pool: occupancy
         # counter is uncapped, so no full-time/capacity branches).
         canonical, inlined = make_pool(soft=True), make_pool(soft=True)
-        canonical.acquire(2.0, 3)
-        lines = 3
+        canonical.acquire(2.0)
         pool = inlined
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         dt = 2.0 - occ._last_t
         if dt > 0:
             occ._integral += occ.value * dt
             occ._last_t = 2.0
-        value = occ.value + lines
+        value = occ.value + 1
         occ.value = value
         if value > occ.max_seen:
             occ.max_seen = value
@@ -241,12 +242,12 @@ class TestInlinedFastPaths:
         # iio_alloc (hard pool: full-time tracking + capacity guard).
         canonical, inlined = make_pool(capacity=8), make_pool(capacity=8)
         for pool in (canonical, inlined):
-            pool.acquire(0.0, 8)  # sit at capacity so full-time accrues
-            pool.release(3.0, 2)
-        canonical.acquire(5.0, 2)
-        lines = 2
+            hold(pool, 0.0, 8)  # sit at capacity so full-time accrues
+            pool.release(3.0)
+            pool.release(3.0)
+        canonical.acquire(5.0)
         pool = inlined
-        pool.alloc_count += lines
+        pool.alloc_count += 1
         occ = pool.occ
         value = occ.value
         capacity = occ.capacity
@@ -256,7 +257,7 @@ class TestInlinedFastPaths:
             if value >= capacity:
                 occ._full_time += dt
             occ._last_t = 5.0
-        value += lines
+        value += 1
         occ.value = value
         if value > capacity:
             raise ValueError(f"occupancy {value} exceeds capacity {capacity}")
@@ -266,25 +267,6 @@ class TestInlinedFastPaths:
         assert inlined.occ._integral == canonical.occ._integral
         assert inlined.occ._full_time == canonical.occ._full_time
 
-    def test_weighted_train_acquire_matches_sequential(self):
-        # The REPRO_UNCORE batching in pcie/device.py and cpu/core.py:
-        # one weighted pool transaction per REPRO_BURST train must be
-        # bit-identical to the per-channel-group acquires it replaces
-        # (all at one instant: dt=0 after the first, monotone
-        # high-water mark, alloc counts sum).
-        sequential, batched = make_pool(capacity=32), make_pool(capacity=32)
-        for pool in (sequential, batched):
-            pool.acquire(0.0, 4)  # pre-existing occupancy + integral
-        groups = (3, 1, 2)
-        for lines in groups:
-            sequential.acquire(7.5, lines)
-        batched.acquire(7.5, sum(groups))
-        assert self._pool_state(batched) == self._pool_state(sequential)
-        assert batched.occ._integral == sequential.occ._integral
-        assert batched.occ._full_time == sequential.occ._full_time
-        assert batched.occ.max_seen == sequential.occ.max_seen
-        assert batched.occ._last_t == sequential.occ._last_t
-
     def test_inlined_release_held_matches_canonical(self):
         # The inlined recipe, verbatim from the uncore kernel's
         # iio_release: hold-time stat record, then the release tail
@@ -292,23 +274,18 @@ class TestInlinedFastPaths:
         canonical, inlined = make_pool(capacity=8), make_pool(capacity=8)
         fired = []
         for tag, pool in (("canonical", canonical), ("inlined", inlined)):
-            pool.acquire(0.0, 8)
+            hold(pool, 0.0, 8)
             pool.add_waiter(lambda tag=tag: fired.append(tag))
-        canonical.release_held(6.0, 2.0, 3)
-        lines = 3
+        canonical.release_held(6.0, 2.0)
         t_alloc = 2.0
         pool = inlined
         latency = 6.0 - t_alloc
         held = pool.latency
-        if lines == 1:
-            held.total += latency
-            held.count += 1
-        else:
-            held.total += latency * lines
-            held.count += lines
+        held.total += latency
+        held.count += 1
         if latency > held.max_seen:
             held.max_seen = latency
-        pool.free_count += lines
+        pool.free_count += 1
         occ = pool.occ
         value = occ.value
         dt = 6.0 - occ._last_t
@@ -317,7 +294,7 @@ class TestInlinedFastPaths:
             if value >= occ.capacity:
                 occ._full_time += dt
             occ._last_t = 6.0
-        occ.value = value - lines
+        occ.value = value - 1
         if pool._waiters:
             pool._drain_waiters()
         assert self._pool_state(inlined) == self._pool_state(canonical)
@@ -354,45 +331,6 @@ class TestInlinedFastPaths:
         assert inlined.counts == canonical.counts
         assert inlined.seen == canonical.seen
         assert inlined.deviations == canonical.deviations
-
-
-class TestWeightedConservation:
-    """REPRO_BURST moves ``lines`` credits per call; conservation must
-    hold line-for-line across all four pool families, with runtime
-    validation on and the request free-list pool disabled."""
-
-    @pytest.mark.parametrize("burst", [4, 16])
-    def test_all_pools_conserve_under_burst(self, burst, monkeypatch):
-        monkeypatch.setattr(records, "_POOL", [])
-        monkeypatch.setattr(records, "_POOL_ENABLED", False)  # REPRO_POOL=off
-        host = colocated_host(burst=burst, validate=True)  # REPRO_VALIDATE=1
-        result = host.run(WARMUP, MEASURE)
-        assert result.invariant_checks > 0
-
-        pools = host.domains.pools()
-        families = {pool.name.split(".")[0] for pool in pools}
-        # LFB (cores), IIO buffers, CHA stages, memory-controller queues.
-        assert {"core0", "iio", "cha", "mc"} <= families
-        for pool in pools:
-            drift = pool.alloc_count - pool.free_count
-            assert drift == pool.in_use, (
-                f"{pool.name}: allocs({pool.alloc_count}) - "
-                f"frees({pool.free_count}) != occupancy({pool.in_use})"
-            )
-            assert pool.reserved >= 0
-            if pool.capacity is not None and not pool.soft:
-                assert 0 <= pool.in_use <= pool.capacity
-
-    @pytest.mark.parametrize("burst", [4, 16])
-    def test_burst_moves_weighted_credits(self, burst, monkeypatch):
-        monkeypatch.setattr(records, "_POOL", [])
-        monkeypatch.setattr(records, "_POOL_ENABLED", False)
-        host = colocated_host(burst=burst, validate=True)
-        host.run(WARMUP, MEASURE)
-        for kind in (DomainKind.C2M_READ, DomainKind.P2M_WRITE, DomainKind.P2M_READ):
-            pools = host.domains.domain_pools(kind)
-            assert pools, f"no pools registered for {kind}"
-            assert sum(p.alloc_count for p in pools) >= burst
 
 
 class TestDomainSnapshots:

@@ -104,11 +104,6 @@ class TestAddressMapper:
         with pytest.raises(ValueError):
             self.make().map(-1)
 
-    def test_channel_of_matches_map(self):
-        mapper = self.make(n_channels=4)
-        for line in range(0, 50_000, 37):
-            assert mapper.channel_of(line) == mapper.map(line).channel
-
 
 def _controller(n_channels, n_banks, lines_per_row, xor_hash, partitions):
     return MemoryController(

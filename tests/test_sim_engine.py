@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import (
-    Event,
-    Simulator,
-    WheelSimulator,
-    make_simulator,
-    wheel_enabled,
-)
+from repro.sim.engine import Event, Simulator
 
 
 def test_schedule_and_run_until_executes_in_order():
@@ -290,179 +284,3 @@ def test_run_max_events_still_raises_with_live_remainder():
         sim.schedule(float(i + 1), lambda: None)
     with pytest.raises(RuntimeError):
         sim.run(max_events=5)
-
-
-# ---------------------------------------------------------------------------
-# Calendar-queue (time-wheel) instant index: REPRO_WHEEL / WheelSimulator
-# ---------------------------------------------------------------------------
-
-
-class TestWheelSimulator:
-    """The wheel is an alternative *instant index* over the same
-    buckets, so dispatch order, the processed counter and the clock
-    trajectory must be bit-identical to the binary-heap index."""
-
-    def _drive(self, sim):
-        import random
-
-        order = []
-        rng = random.Random(11)
-        handles = []
-
-        def cb(i):
-            order.append((sim.now, i))
-            if rng.random() < 0.3:
-                sim.schedule(
-                    rng.choice([0.0, 0.63, 15.0, 33.0, 1500.0]), cb, 10_000 + i
-                )
-            if rng.random() < 0.1 and handles:
-                handles.pop(rng.randrange(len(handles))).cancel()
-
-        for i in range(400):
-            d = rng.choice([0.0, 0.2, 0.63, 1.0, 10.0, 33.0, 250.0, 5000.0])
-            if i % 7 == 0:
-                handles.append(sim.schedule_cancellable(d, cb, i))
-            elif i % 11 == 0:
-                sim.schedule_many(d, cb, [(i,), (i + 1,), (i + 2,)])
-            else:
-                sim.schedule(d, cb, i)
-        sim.run_until(40.0)
-        sim._drain_limited(200.0, 97)  # budgeted drain mid-stream
-        sim.run_until(600.0)
-        sim.run()
-        return order, sim.events_processed, sim.now
-
-    def test_dispatch_identical_to_heap(self):
-        assert self._drive(Simulator()) == self._drive(WheelSimulator())
-
-    def test_dispatch_identical_with_tiny_horizon(self):
-        """A 64-slot, quarter-ns wheel forces constant overflow to the
-        fallback heap, lazy migration and cursor jumps — the order must
-        still match."""
-        assert self._drive(Simulator()) == self._drive(
-            WheelSimulator(slot_width=0.25, n_slots=64)
-        )
-
-    def test_far_future_overflow_round_trip(self):
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        fired = []
-        sim.schedule(1e6, fired.append, "far")
-        sim.schedule(1.0, fired.append, "near")
-        assert len(sim._heap) == 1  # far instant parked in the overflow heap
-        sim.run()
-        assert fired == ["near", "far"]
-        assert sim._n_wheel == 0 and not sim._heap
-
-    def test_run_until_advances_cursor(self):
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        sim.run_until(1000.0)
-        assert sim._cursor == 2000
-        sim.schedule(0.5, lambda: None)  # lands in the wheel, not overflow
-        assert sim._n_wheel == 1 and not sim._heap
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            WheelSimulator(slot_width=0.0)
-        with pytest.raises(ValueError):
-            WheelSimulator(n_slots=1)
-
-    def test_filing_into_scanned_gap_between_windows(self):
-        """Regression: a drain scans empty slots up to a far-future
-        in-wheel instant before discovering it lies beyond ``t_end``,
-        parking the cursor way past the window. An instant filed
-        *between* windows into that scanned gap must still dispatch in
-        time order (it used to be misfiled behind the cursor and fire
-        only after the wheel wrapped, clock running backwards)."""
-
-        def drive(sim):
-            fired = []
-            cb = lambda t: fired.append((sim.now, t))
-            sim.schedule_at(500.0, cb, 500.0)  # in-wheel, far slot
-            sim.run_until(10.0)  # scan parks the cursor at 500's slot
-            sim.schedule_at(20.0, cb, 20.0)  # files into the gap
-            sim.run_until(600.0)
-            return fired, sim.now, sim.events_processed
-
-        fired, now, _ = drive(WheelSimulator())
-        assert fired == [(20.0, 20.0), (500.0, 500.0)]
-        assert now == 600.0
-        assert drive(WheelSimulator()) == drive(Simulator())
-
-    def test_filing_behind_cursor_after_run(self):
-        """Same family as the scanned-gap regression, via :meth:`run`:
-        a completed drain leaves the cursor one past the last
-        dispatched slot while ``now`` is still mid-slot, so a new
-        instant in that same slot lands behind the cursor."""
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        fired = []
-        sim.schedule_at(0.1, fired.append, 0.1)
-        sim.run()  # cursor parked one past slot 0, now == 0.1
-        sim.schedule_at(0.2, fired.append, 0.2)  # slot the cursor passed
-        sim.schedule_at(5.0, fired.append, 5.0)
-        sim.run()
-        assert fired == [0.1, 0.2, 5.0]
-
-    @pytest.mark.parametrize(
-        "make_wheel",
-        [WheelSimulator, lambda: WheelSimulator(slot_width=0.25, n_slots=64)],
-        ids=["default", "tiny-horizon"],
-    )
-    def test_dispatch_identical_with_between_window_filing(self, make_wheel):
-        """Randomized differential over interleaved schedule/run_until
-        windows — the pattern the up-front ``_drive`` harness misses:
-        every window can park the cursor ahead of instants that are
-        filed afterwards."""
-        import random
-
-        def drive(sim):
-            rng = random.Random(7)
-            order = []
-
-            def cb(i):
-                order.append((sim.now, i))
-
-            k = 0
-            for _ in range(60):
-                for _ in range(rng.randrange(4)):
-                    d = rng.choice([0.0, 0.4, 3.0, 40.0, 700.0, 3000.0])
-                    sim.schedule(d, cb, k)
-                    k += 1
-                sim.run_until(sim.now + rng.choice([0.3, 2.0, 25.0, 400.0]))
-            sim.run()
-            return order, sim.events_processed, sim.now
-
-        assert drive(Simulator()) == drive(make_wheel())
-
-    def test_run_max_events_guard_clears_wheel(self):
-        sim = WheelSimulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), fired.append, i)
-        for _ in range(3):
-            sim.schedule_cancellable(100.0, fired.append, "never").cancel()
-        sim.run(max_events=5)
-        assert fired == [0, 1, 2, 3, 4]
-        assert sim.pending == 0 and sim._n_wheel == 0
-
-
-class TestWheelKnob:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WHEEL", raising=False)
-        assert wheel_enabled() is False
-        assert type(make_simulator()) is Simulator
-
-    @pytest.mark.parametrize("raw", ["on", "1", "yes", "true"])
-    def test_enabled_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WHEEL", raw)
-        assert wheel_enabled() is True
-        assert type(make_simulator()) is WheelSimulator
-
-    @pytest.mark.parametrize("raw", ["off", "0", "no", "false", ""])
-    def test_disabled_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WHEEL", raw)
-        assert wheel_enabled() is False
-
-    def test_invalid_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WHEEL", "maybe")
-        with pytest.raises(ValueError, match="REPRO_WHEEL"):
-            wheel_enabled()

@@ -232,60 +232,6 @@ class TestValidatingSimulator:
     def test_dispatch_equivalence_selftest_passes(self):
         dispatch_equivalence_selftest()
 
-    def test_verify_heap_understands_the_wheel(self):
-        """verify_heap gathers instants from wheel slots *and* the
-        overflow heap of a WheelSimulator and checks slot membership."""
-        from repro.sim.engine import WheelSimulator
-
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        for delay in (0.0, 0.2, 3.0, 3.0, 7.9, 1e6):  # 1e6 overflows
-            sim.schedule(delay, lambda: None)
-        assert sim._heap and sim._n_wheel  # both halves populated
-        assert verify_heap(sim) == 6
-        sim.run()
-        assert verify_heap(sim) == 0
-
-    def test_verify_heap_detects_misfiled_wheel_instant(self):
-        from repro.sim.engine import WheelSimulator
-
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        sim.schedule(1.0, lambda: None)
-        slot = next(s for s in sim._wheel if s)
-        time = slot.pop()
-        sim._wheel[(int(time * sim._inv_width) + 1) % 16].append(time)
-        with pytest.raises(InvariantViolation, match="wheel-slot-membership"):
-            verify_heap(sim)
-
-    def test_verify_heap_accepts_clamped_behind_cursor_instant(self):
-        """A behind-cursor instant is clamped into the cursor slot by
-        WheelSimulator._file_instant; verify_heap must accept it there
-        and flag it anywhere else."""
-        from repro.sim.engine import WheelSimulator
-
-        sim = WheelSimulator()  # default geometry: 0.5 ns x 2048 slots
-        sim.schedule_at(500.0, lambda: None)
-        sim.run_until(10.0)  # scan parks the cursor at 500's slot
-        sim.schedule_at(20.0, lambda: None)  # behind the cursor: clamped
-        assert sim._cursor > int(20.0 * sim._inv_width)
-        assert verify_heap(sim) == 2
-        # Move the clamped instant to its "natural" slot — the exact
-        # misfile the clamp prevents — and expect a violation.
-        slot = sim._wheel[sim._cursor % sim._n_slots]
-        slot.remove(20.0)
-        heapq.heapify(slot)
-        sim._wheel[int(20.0 * sim._inv_width) % sim._n_slots].append(20.0)
-        with pytest.raises(InvariantViolation, match="wheel-slot-membership"):
-            verify_heap(sim)
-
-    def test_verify_heap_detects_wheel_count_drift(self):
-        from repro.sim.engine import WheelSimulator
-
-        sim = WheelSimulator(slot_width=0.5, n_slots=16)
-        sim.schedule(1.0, lambda: None)
-        sim._n_wheel += 1
-        with pytest.raises(InvariantViolation, match="wheel-count"):
-            verify_heap(sim)
-
 
 class TestDifferentialHarness:
     def test_differential_point_quadrant(self):

@@ -52,10 +52,8 @@ POLL_INTERVAL_S = 0.02
 
 def child(out_path: str) -> int:
     """Run the fingerprint point; exit 75 if checkpoint-preempted."""
-    # Same knob pinning as tools/fig03_check.py — the fingerprint is
-    # the exact per-line simulation. REPRO_KERNEL and REPRO_UNCORE are
-    # left alone: the parent drives them.
-    os.environ["REPRO_BURST"] = "1"
+    # Same knob pinning as tools/fig03_check.py. REPRO_KERNEL and
+    # REPRO_UNCORE are left alone: the parent drives them.
     for name in ("REPRO_VALIDATE", "REPRO_CHAOS", "REPRO_DDIO", "REPRO_BANK_REG"):
         os.environ.pop(name, None)
 
