@@ -1,15 +1,11 @@
 """Event-engine microbenchmark: raw events/sec.
 
-Three views of the engine's dispatch cost, tracked in the perf
+Views of the engine's dispatch cost, tracked in the perf
 trajectory (baseline: ``BENCH_engine.json``, gated by
 ``tools/perf_check.py``):
 
 * empty-callback churn — pure engine overhead (scheduling plus
   dispatch of mixed-delay singleton events), no model code;
-* event-train dispatch — bulk ``schedule_many`` trains through the
-  bucketed same-delay FIFO lane, the shape DMA bursts produce (falls
-  back to per-member ``schedule`` on engines without the bulk API, so
-  the same benchmark measures both);
 * a realistic DRAM-traffic window — a colocated STREAM + DMA host,
   reporting the events/sec the simulator sustains end to end;
 * uncore admission churn — the IIO credit pools and CHA ingress
@@ -23,8 +19,6 @@ from repro.sim.records import RequestKind
 from repro.uncore.kernel import UncoreKernel, uncore_enabled
 
 CHURN_EVENTS = 300_000
-TRAIN_EVENTS = 300_000
-TRAIN_LEN = 64
 UNCORE_OPS = 240_000
 UNCORE_REQS = 4_096
 
@@ -52,45 +46,6 @@ def test_engine_empty_callback_churn(benchmark):
     rate = events / benchmark.stats.stats.mean
     benchmark.extra_info["events_per_sec"] = round(rate)
     print(f"\nengine churn: {events} events, {rate:,.0f} events/s")
-
-
-def test_engine_train_dispatch(benchmark):
-    """Bulk event trains: the same-delay FIFO lane at its design point."""
-
-    member_args = [(i,) for i in range(TRAIN_LEN)]
-
-    def trains() -> int:
-        sim = Simulator()
-        remaining = [TRAIN_EVENTS]
-        bulk = getattr(sim, "schedule_many", None)
-
-        def member(i) -> None:
-            pass
-
-        def launch(phase) -> None:
-            n = remaining[0]
-            if n <= 0:
-                return
-            batch = member_args if n >= TRAIN_LEN else member_args[:n]
-            remaining[0] = n - len(batch)
-            if bulk is not None:
-                bulk(3.0, member, batch)
-            else:  # engines without the bulk API: per-member scheduling
-                for args in batch:
-                    sim.schedule(3.0, member, *args)
-            sim.schedule(5.0 + phase, launch, phase)
-
-        # Four staggered launchers keep several trains in flight.
-        for phase in range(4):
-            sim.schedule(float(phase), launch, phase)
-        sim.run_until(1e12)
-        return sim.events_processed
-
-    events = run_once(benchmark, trains)
-    assert events >= TRAIN_EVENTS
-    rate = events / benchmark.stats.stats.mean
-    benchmark.extra_info["events_per_sec"] = round(rate)
-    print(f"\nengine train dispatch: {events} events, {rate:,.0f} events/s")
 
 
 def test_engine_dram_window_events_per_sec(benchmark):

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.dram.address import AddressMapper
 from repro.dram.bank import Bank
-from repro.dram.kernel import ChannelKernel, kernel_enabled
+from repro.dram.kernel import ChannelKernel
 from repro.dram.regulator import BankRegulator
 from repro.dram.timing import DramTiming
 from repro.sim.engine import Simulator
@@ -101,6 +101,7 @@ class Channel:
         p2m_write_priority: bool = False,
         bank_sample_every: int = 1000,
         bank_reg: Optional[BankRegulator] = None,
+        kernel: bool = True,
     ):
         timing.validate()
         self._sim = sim
@@ -136,19 +137,16 @@ class Channel:
         self._wpq_full_time = 0.0
         self._window_start = 0.0
         self._pump_event = None
-        # Lines sitting in the per-bank FIFOs, maintained incrementally
-        # (reference path; the kernel keeps its own pair).
-        self._queued_read_lines = 0
-        self._queued_write_lines = 0
         # Wired by the host: invoked when queue space frees up.
         self.on_rpq_space: Optional[Callable[[int], None]] = None
         self.on_wpq_space: Optional[Callable[[int], None]] = None
-        #: SoA batch scheduler (REPRO_KERNEL, default on). When active
+        #: SoA batch scheduler (``KnobSet.kernel``, default on; off
+        #: keeps the request-at-a-time reference path). When active
         #: it owns the bank FIFOs and all hot counters; the admission
         #: entry points are rebound to its fused implementations so the
         #: CHA pays zero delegation overhead per request.
         self.kernel: Optional[ChannelKernel] = None
-        if kernel_enabled():
+        if kernel:
             self.kernel = kernel = ChannelKernel(self)
             self.enqueue_read = kernel.enqueue_read
             self.enqueue_write = kernel.enqueue_write
@@ -239,7 +237,6 @@ class Channel:
         self._admit_seq += 1
         req.queue_seq = self._admit_seq
         req.t_queue_admit = now
-        self._queued_read_lines += 1
         self.banks[req.bank_id].enqueue(req)
         self._schedule_pump(now)
 
@@ -252,7 +249,6 @@ class Channel:
         self._admit_seq += 1
         req.queue_seq = self._admit_seq
         req.t_queue_admit = now
-        self._queued_write_lines += 1
         self.banks[req.bank_id].enqueue(req)
         if req.on_complete is not None:
             req.on_complete(req)
@@ -429,13 +425,11 @@ class Channel:
         bank.pop_head(req)
         stats = self._stats
         if req.kind is RequestKind.READ:
-            self._queued_read_lines -= 1
             stats.lines_read += 1
             stats.class_lines_read[req.traffic_class] += 1
             stats.busy_read_time += t_burst
             self.bank_sampler.record(req.bank_id)
         else:
-            self._queued_write_lines -= 1
             stats.lines_written += 1
             stats.class_lines_written[req.traffic_class] += 1
             stats.busy_write_time += t_burst
@@ -486,22 +480,12 @@ class Channel:
         its transmit completes, so these must reconcile with
         ``rpq_count``/``wpq_count`` net of the single request whose
         transmit is in flight — the queue-accounting identity checked
-        by :mod:`repro.validate`.
-
-        Incrementally maintained (no per-call container walk); the
-        validator cross-checks the cache against
-        :meth:`walk_queued_lines`.
+        by :mod:`repro.validate`. A walk of the FIFOs, so call it at
+        window boundaries, not per request.
         """
         kernel = self.kernel
         if kernel is not None:
-            return kernel.queued_read_lines, kernel.queued_write_lines
-        return self._queued_read_lines, self._queued_write_lines
-
-    def walk_queued_lines(self) -> tuple:
-        """Recount the bank FIFOs directly (validator cross-check)."""
-        kernel = self.kernel
-        if kernel is not None:
-            return kernel.walk_queued_lines()
+            return kernel.queued_in_banks()
         reads = sum(len(bank.read_q) for bank in self.banks)
         writes = sum(len(bank.write_q) for bank in self.banks)
         return reads, writes
@@ -542,6 +526,7 @@ class MemoryController:
         bank_reg_rate: Optional[float] = None,
         bank_reg_burst_lines: int = 64,
         bank_partition_classes: int = 0,
+        kernel: bool = True,
     ):
         self.mapper = AddressMapper(
             n_channels=n_channels,
@@ -570,6 +555,7 @@ class MemoryController:
                     if bank_reg_rate is not None
                     else None
                 ),
+                kernel=kernel,
             )
             for i in range(n_channels)
         ]

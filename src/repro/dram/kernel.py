@@ -62,11 +62,14 @@ _KIND_VALUES = ("read", "write")
 
 
 def kernel_enabled() -> bool:
-    """Whether new channels use the SoA kernel (``REPRO_KERNEL``).
+    """Whether hosts use the SoA kernel (``REPRO_KERNEL``).
 
-    Defaults to on; ``off``/``0``/``no``/``false`` selects the
-    request-at-a-time reference path. Invalid values raise so typos
-    don't silently change which scheduler runs.
+    Read once per run context by
+    :meth:`repro.sim.knobs.KnobSet.resolve`; hosts pass the resolved
+    ``KnobSet.kernel`` down to their channels. Defaults to on;
+    ``off``/``0``/``no``/``false`` selects the request-at-a-time
+    reference path. Invalid values raise so typos don't silently
+    change which scheduler runs.
     """
     raw = os.environ.get("REPRO_KERNEL", "on").strip().lower()
     if raw in ("", "on", "1", "yes", "true"):
@@ -129,9 +132,6 @@ class ChannelKernel:
         "wpq_pool",
         "rpq_occ",
         "wpq_occ",
-        # incrementally-maintained queue totals (cachelines)
-        "queued_read_lines",
-        "queued_write_lines",
         # stats accumulators (flat; synced into ChannelStats on demand)
         "s_lines_read",
         "s_lines_written",
@@ -200,8 +200,6 @@ class ChannelKernel:
         self.wpq_pool = channel.wpq_pool
         self.rpq_occ = channel.rpq_pool.occ
         self.wpq_occ = channel.wpq_pool.occ
-        self.queued_read_lines = 0
-        self.queued_write_lines = 0
         self.cls_ids = {}
         self.cls_names = []
         self.cls_lines_read = []
@@ -248,7 +246,6 @@ class ChannelKernel:
         b = req.bank_id
         q = self.read_qs[b]
         q.append(req)
-        self.queued_read_lines += 1
         if len(q) == 1:
             row = req.row_id
             self.head_row_r[b] = row
@@ -279,7 +276,6 @@ class ChannelKernel:
         b = req.bank_id
         q = self.write_qs[b]
         q.append(req)
-        self.queued_write_lines += 1
         if len(q) == 1:
             row = req.row_id
             self.head_row_w[b] = row
@@ -514,7 +510,6 @@ class ChannelKernel:
             self.head_row_r[b] = _NO_HEAD
             self.head_seq_r[b] = _BIG
             del self.match_r[b]
-        self.queued_read_lines -= 1
         self.s_lines_read += 1
         self.cls_lines_read[req.cls_id] += 1
         self.s_busy_read += t_burst
@@ -556,7 +551,6 @@ class ChannelKernel:
             self.head_row_w[b] = _NO_HEAD
             self.head_seq_w[b] = _BIG
             del self.match_w[b]
-        self.queued_write_lines -= 1
         self.s_lines_written += 1
         self.cls_lines_written[req.cls_id] += 1
         self.s_busy_write += t_burst
@@ -721,11 +715,7 @@ class ChannelKernel:
     # ------------------------------------------------------------------
 
     def queued_in_banks(self) -> tuple:
-        """``(read_lines, write_lines)`` from the incremental counters."""
-        return self.queued_read_lines, self.queued_write_lines
-
-    def walk_queued_lines(self) -> tuple:
-        """Recount the bank FIFOs directly (validator cross-check)."""
+        """``(read_lines, write_lines)`` sitting in the bank FIFOs."""
         reads = sum(len(q) for q in self.read_qs)
         writes = sum(len(q) for q in self.write_qs)
         return reads, writes
@@ -754,18 +744,9 @@ class ChannelKernel:
 
         Returns the number of banks checked; raises ``AssertionError``
         on any divergence (wrapped into an InvariantViolation by the
-        validator probe). Checks: the cached queue totals, both head
-        caches, and the exact membership of the open-row match dicts.
+        validator probe). Checks: both head caches, and the exact
+        membership of the open-row match dicts.
         """
-        reads, writes = self.walk_queued_lines()
-        assert reads == self.queued_read_lines, (
-            f"queued read lines drifted: cached {self.queued_read_lines}, "
-            f"walk {reads}"
-        )
-        assert writes == self.queued_write_lines, (
-            f"queued write lines drifted: cached {self.queued_write_lines}, "
-            f"walk {writes}"
-        )
         for b in range(self.nb):
             for qs, head_row, head_seq, match in (
                 (self.read_qs, self.head_row_r, self.head_seq_r, self.match_r),

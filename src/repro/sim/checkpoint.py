@@ -16,10 +16,11 @@ along with a :class:`RunState` cursor recording where inside
 environment knobs.
 
 Determinism discipline: when a checkpoint plan is active, ``Host.run``
-drives its windows through ``Simulator._drain_limited`` in fixed event
-chunks. The engine re-files a partially-dispatched bucket's suffix
-*ahead of* same-instant later arrivals, so chunked dispatch executes
-the exact event sequence of an unchunked drain — checkpoints, watchdog
+drives its windows through the engine's one dispatch loop,
+``Simulator._drain``, in fixed event chunks. The engine re-files a
+partially-dispatched bucket's suffix *ahead of* same-instant later
+arrivals, so chunked dispatch executes the exact event sequence of an
+unchunked drain — checkpoints, watchdog
 probes and preemption points at chunk boundaries can never perturb
 results, and a restored run finishes **bit-identical** to an
 uninterrupted one.
@@ -58,7 +59,7 @@ from typing import Any, Dict, Optional, Tuple
 #: an armed preemption (EX_TEMPFAIL: the task is retryable — resume).
 PREEMPT_EXIT_CODE = 75
 
-#: events per ``_drain_limited`` chunk when a plan or watchdog drives
+#: events per ``Simulator._drain`` chunk when a plan or watchdog drives
 #: the run. Large enough to keep loop overhead invisible, small enough
 #: that a SIGTERM is honoured within milliseconds.
 CHUNK_EVENTS = 4096
@@ -66,7 +67,7 @@ CHUNK_EVENTS = 4096
 DEFAULT_EVERY_EVENTS = 200_000
 
 #: bumped whenever the pickled host graph changes shape
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 _FORMAT = "host-ckpt"
 
 

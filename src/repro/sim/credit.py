@@ -306,10 +306,6 @@ class DomainTracker:
         """Every tracked pool, in registration order, deduplicated."""
         return list(self._pools)
 
-    def domain_pools(self, kind: DomainKind) -> List[CreditPool]:
-        """The pools backing one domain (empty if none registered)."""
-        return list(self._domains.get(kind, ()))
-
     @property
     def kinds(self) -> List[DomainKind]:
         """Domains with at least one registered pool."""

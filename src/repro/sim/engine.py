@@ -19,14 +19,12 @@ lanes*:
 
 A bucket holds either a single entry (the overwhelmingly common
 singleton case pays no list allocation) or a list of entries in
-scheduling order. Entries come in three shapes, recognised by class:
+scheduling order. Entries come in two shapes, recognised by class:
 
 * ``(fn, args)`` tuples — the non-cancellable fast path used by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`;
 * :class:`Event` wrappers — cancellable handles from
-  :meth:`Simulator.schedule_cancellable`, lazily deleted;
-* :class:`_Chain` payloads — a whole same-instant train from
-  :meth:`Simulator.schedule_many`, stored as one entry.
+  :meth:`Simulator.schedule_cancellable`, lazily deleted.
 
 Dispatch order is exactly what a ``(time, submission ordinal)`` total
 order produces: all entries for an instant live in its bucket from
@@ -41,10 +39,14 @@ order, since every live entry of the old bucket has already fired.
 from __future__ import annotations
 
 import math
+import sys
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 _INF = float("inf")
+#: :meth:`Simulator._drain`'s default budget: more events than any run
+#: executes.
+_NO_LIMIT = sys.maxsize
 
 
 class Event:
@@ -80,31 +82,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.3f}, {self.fn.__qualname__}, {state})"
-
-
-class _Chain:
-    """A same-instant event train stored as one bucket entry.
-
-    Members fire in list order, exactly as the equivalent sequence of
-    per-member :meth:`Simulator.schedule` calls would (the train is
-    submitted atomically, so nothing can interleave inside it).
-    ``idx`` is the dispatch cursor: when a budgeted run expires
-    mid-train the anchor stays in its bucket with the cursor advanced
-    past the dispatched members.
-    """
-
-    __slots__ = ("fn", "argslist", "idx")
-
-    def __init__(self, fn: Callable[..., None], argslist: Sequence[tuple]):
-        self.fn = fn
-        self.argslist = argslist
-        self.idx = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"_Chain({self.fn.__qualname__}, "
-            f"{len(self.argslist) - self.idx} of {len(self.argslist)} left)"
-        )
 
 
 class Simulator:
@@ -151,11 +128,8 @@ class Simulator:
         hot-path counter.
         """
         count = 0
-        for _, entry in self.pending_entries():
-            if entry.__class__ is _Chain:
-                count += len(entry.argslist) - entry.idx
-            else:
-                count += 1
+        for bucket in self._buckets.values():
+            count += len(bucket) if bucket.__class__ is list else 1
         return count
 
     def pending_entries(self) -> "Iterator[tuple]":
@@ -164,11 +138,9 @@ class Simulator:
         The canonical observer of scheduler state: entries surface in
         bucket (submission) order within an instant, though instants
         themselves come out in dict order, not time order. Entries
-        keep their raw shapes — ``(fn, args)`` tuples,
-        :class:`Event` handles (cancelled ones included) and
-        :class:`_Chain` anchors (whose live size is
-        ``len(argslist) - idx``). Read-only: mutating the schedule
-        while iterating is undefined.
+        keep their raw shapes — ``(fn, args)`` tuples and
+        :class:`Event` handles (cancelled ones included). Read-only:
+        mutating the schedule while iterating is undefined.
         """
         for time, bucket in self._buckets.items():
             if bucket.__class__ is list:
@@ -246,31 +218,6 @@ class Simulator:
         else:
             buckets[time] = [bucket, (fn, args)]
 
-    def schedule_many(
-        self, delay: float, fn: Callable[..., None], argslist: Iterable[tuple]
-    ) -> int:
-        """Schedule ``fn(*args)`` for every ``args`` tuple in ``argslist``.
-
-        All members fire ``delay`` ns from now, in list order, exactly
-        as the equivalent sequence of :meth:`schedule` calls would —
-        but the whole train costs a single bucket entry (and at most
-        one heap push). Returns the number of events scheduled (0 is a
-        no-op).
-        """
-        time = self.now + delay
-        if not (delay >= 0.0 and time < _INF):
-            self._reject(delay, time)
-        if not isinstance(argslist, (list, tuple)):
-            argslist = list(argslist)
-        n = len(argslist)
-        if n == 0:
-            return 0
-        if n == 1:
-            self._file(time, (fn, argslist[0]))
-        else:
-            self._file(time, _Chain(fn, argslist))
-        return n
-
     def schedule_cancellable(
         self, delay: float, fn: Callable[..., None], *args: Any
     ) -> Event:
@@ -308,23 +255,29 @@ class Simulator:
             )
         raise ValueError(f"cannot schedule at non-finite time (time={time})")
 
-    def _drain(self, t_end: float) -> int:
-        """The unbudgeted dispatch core behind :meth:`run_until`.
+    def _drain(self, t_end: float, limit: int = _NO_LIMIT) -> int:
+        """The dispatch loop: execute events with ``timestamp < t_end``,
+        at most ``limit`` of them.
 
-        Executes every event with ``timestamp < t_end``, coalescing
-        each instant's bucket under one clock update. Returns the
-        number executed. The clock is left at the last executed
-        timestamp; callers adjust it afterwards.
+        Each instant's bucket runs under one clock update. When the
+        budget may end inside a bucket, the part beyond it is re-filed
+        before the rest dispatches, so it stays *ahead of* anything
+        scheduled at that instant meanwhile (those entries carry later
+        submission order) and a later drain resumes in the exact same
+        order: chunked dispatch executes the event sequence of one
+        unbudgeted drain. Returns the number executed. The clock is
+        left at the last executed timestamp; callers adjust it
+        afterwards.
         """
         heap = self._heap
-        pop = heappop
-        take = self._buckets.pop
+        buckets = self._buckets
         processed = self._events_processed
         start = processed
-        while heap and heap[0] < t_end:
-            time = pop(heap)
+        stop = processed + limit
+        while heap and heap[0] < t_end and processed < stop:
+            time = heappop(heap)
             self.now = time
-            bucket = take(time)
+            bucket = buckets.pop(time)
             cls = bucket.__class__
             if cls is tuple:  # singleton fast entry — the common case
                 processed += 1
@@ -336,100 +289,24 @@ class Simulator:
                 continue
             if cls is not list:
                 bucket = (bucket,)
+            elif len(bucket) > stop - processed:
+                # Each entry fires at most one event, so the budget
+                # cannot reach past ``cut``. (If cancelled entries leave
+                # some budget, the loop comes back for the re-filed part.)
+                cut = stop - processed
+                buckets[time] = bucket[cut:]
+                heappush(heap, time)
+                bucket = bucket[:cut]
             for entry in bucket:
-                cls = entry.__class__
-                if cls is tuple:
-                    processed += 1
-                    args = entry[1]
-                    if args:
-                        entry[0](*args)
-                    else:
-                        entry[0]()
-                elif cls is Event:
-                    if entry.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    entry._sim = None
-                    processed += 1
-                    entry.fn(*entry.args)
-                else:  # a _Chain: dispatch the (rest of the) train
-                    chain_fn = entry.fn
-                    argslist = entry.argslist
-                    i = entry.idx
-                    n = len(argslist)
-                    while i < n:
-                        args = argslist[i]
-                        i += 1
-                        processed += 1
-                        chain_fn(*args)
-                    entry.idx = n
-        self._events_processed = processed
-        return processed - start
-
-    def _drain_limited(self, t_end: float, limit: int) -> int:
-        """Budgeted dispatch (behind :meth:`run`): like :meth:`_drain`
-        but stops after ``limit`` events, re-filing the unconsumed
-        suffix of a partially-dispatched bucket so a later drain
-        resumes in the exact same order."""
-        heap = self._heap
-        buckets = self._buckets
-        processed = self._events_processed
-        start = processed
-        limit += processed
-        while heap and heap[0] < t_end and processed < limit:
-            time = heappop(heap)
-            self.now = time
-            bucket = buckets.pop(time)
-            if bucket.__class__ is not list:
-                bucket = [bucket]
-            i = 0
-            n_entries = len(bucket)
-            while i < n_entries:
-                if processed >= limit:
-                    break
-                entry = bucket[i]
-                cls = entry.__class__
-                if cls is tuple:
-                    i += 1
+                if entry.__class__ is tuple:
                     processed += 1
                     entry[0](*entry[1])
-                elif cls is Event:
-                    i += 1
-                    if entry.cancelled:
-                        self._cancelled -= 1
-                        continue
+                elif entry.cancelled:
+                    self._cancelled -= 1
+                else:
                     entry._sim = None
                     processed += 1
                     entry.fn(*entry.args)
-                else:
-                    chain_fn = entry.fn
-                    argslist = entry.argslist
-                    j = entry.idx
-                    n = len(argslist)
-                    while j < n and processed < limit:
-                        args = argslist[j]
-                        j += 1
-                        processed += 1
-                        chain_fn(*args)
-                    entry.idx = j
-                    if j < n:
-                        break  # budget expired mid-train: keep anchor
-                    i += 1
-            if i < n_entries:
-                # Budget expired mid-bucket. Re-file the unconsumed
-                # suffix *ahead of* anything scheduled at this instant
-                # during the partial dispatch — those entries carry
-                # later submission order.
-                rest = bucket[i:]
-                tail = buckets.get(time)
-                if tail is None:
-                    heappush(heap, time)
-                elif tail.__class__ is list:
-                    rest.extend(tail)
-                else:
-                    rest.append(tail)
-                buckets[time] = rest
-                break
         self._events_processed = processed
         return processed - start
 
@@ -450,7 +327,7 @@ class Simulator:
 
     def run(self, max_events: int = 100_000_000) -> None:
         """Execute all pending events (bounded by ``max_events``)."""
-        executed = self._drain_limited(_INF, max_events)
+        executed = self._drain(_INF, max_events)
         if executed >= max_events:
             if self.pending_live:
                 raise RuntimeError(f"simulation exceeded {max_events} events")

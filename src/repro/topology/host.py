@@ -233,6 +233,7 @@ class Host:
             ),
             bank_reg_burst_lines=config.bank_reg_burst_lines,
             bank_partition_classes=config.bank_partition_classes,
+            kernel=self.knobs.kernel,
         )
         if config.llc_mode not in ("full", "bypass"):
             raise ValueError(f"unknown llc_mode {config.llc_mode!r}")
@@ -673,7 +674,7 @@ class Host:
         if wd is not None:
             wd.arm(sim)
         while True:
-            executed = sim._drain_limited(t_end, chunk)
+            executed = sim._drain(t_end, chunk)
             if plan is not None:
                 reason = checkpoint.preempt_reason(sim)
                 if reason is not None:

@@ -1,38 +1,42 @@
 """Engine-level probes: a checking simulator and a dispatch self-test.
 
 :class:`ValidatingSimulator` is a drop-in :class:`~repro.sim.engine.Simulator`
-whose dispatch loop verifies, per event, that
+that checks each pending bucket just before it fires:
 
 * the clock is monotone (a bucket's instant never precedes ``now``);
+* the heap and the buckets agree (the instant owns a non-empty bucket);
 * every bucket entry is well-formed — an ``(fn, args)`` pair for the
-  fast path, an :class:`~repro.sim.engine.Event` for the cancellable
-  path (its ``time`` agreeing with the bucket's instant), or a chain
-  payload for a ``schedule_many`` train with its cursor in range;
+  fast path, or an :class:`~repro.sim.engine.Event` for the
+  cancellable path with its ``time`` agreeing with the bucket's
+  instant.
 
-and whose :meth:`verify_heap` checks the heap ordering property over
-the pending instants, the heap/bucket synchronisation (every pending
-instant appears in the heap exactly once and owns a non-empty bucket)
-and the live-pending counter (O(n), so it runs at window boundaries,
-not per event). Dispatch order, ``events_processed`` and the clock
-trajectory are bit-identical to the base class: validation must never
-change what it validates.
+It then hands just that bucket to the production dispatch loop,
+:meth:`Simulator._drain <repro.sim.engine.Simulator._drain>`, so a
+validated run fires every event from the loop an unchecked run uses,
+and dispatch order, ``events_processed`` and the clock trajectory are
+bit-identical to the base class by construction.
+
+:func:`verify_heap` checks the heap ordering property over the pending
+instants, the heap/bucket synchronisation and the live-pending counter
+(O(n), so it runs at window boundaries, not per event).
 
 :func:`dispatch_equivalence_selftest` replays one scripted workload
-through the fast path, the cancellable path and the bulk
-(``schedule_many``) path and demands identical execution order — the
-bucket representations are an optimization, not a semantic fork.
+through the fast path and the cancellable path and demands identical
+execution order — the two entry shapes are an optimization, not a
+semantic fork.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import math
 
-from repro.sim.engine import Event, Simulator, _Chain
+from repro.sim.engine import _INF, _NO_LIMIT, Event, Simulator
 from repro.validate.invariants import InvariantViolation
 
 
-def _check_shape(entry) -> None:
-    """Raise unless ``entry`` is a well-formed bucket entry."""
+def _check_entry(time: float, entry) -> None:
+    """Raise unless ``entry`` is a well-formed entry of the bucket at
+    ``time``."""
     cls = entry.__class__
     if cls is tuple:
         if (
@@ -45,165 +49,74 @@ def _check_shape(entry) -> None:
                 "heap-entry-shape",
                 f"malformed fast-path entry {entry!r}",
             )
-    elif cls is _Chain:
-        if not 0 <= entry.idx <= len(entry.argslist):
-            raise InvariantViolation(
-                "engine",
-                "heap-entry-shape",
-                "chain cursor out of range",
-                details={
-                    "idx": entry.idx,
-                    "members": len(entry.argslist),
-                },
-            )
     elif cls is not Event:
         raise InvariantViolation(
             "engine",
             "heap-entry-shape",
             f"bucket entry of unrecognised shape: {entry!r}",
         )
+    elif entry.time != time:
+        raise InvariantViolation(
+            "engine",
+            "heap-entry-shape",
+            "Event wrapper disagrees with its bucket instant",
+            details={"bucket": time, "event": entry.time},
+        )
 
 
 class ValidatingSimulator(Simulator):
-    """Simulator with per-event invariant checks (REPRO_VALIDATE=1)."""
+    """Simulator with per-bucket invariant checks (REPRO_VALIDATE=1)."""
 
     __slots__ = ()
-
-    def _check_entry(self, time: float, entry) -> None:
-        _check_shape(entry)
-        if entry.__class__ is Event and entry.time != time:
-            raise InvariantViolation(
-                "engine",
-                "heap-entry-shape",
-                "Event wrapper disagrees with its bucket instant",
-                details={"bucket": time, "event": entry.time},
-            )
-
-    def _check_instant(self, time: float) -> None:
-        if time < self.now:
-            raise InvariantViolation(
-                "engine",
-                "clock-monotonicity",
-                f"event at t={time} surfaced after now={self.now}",
-            )
-
-    def _pop_bucket(self, time: float):
-        bucket = self._buckets.pop(time, None)
-        if bucket is None:
-            raise InvariantViolation(
-                "engine",
-                "heap-bucket-sync",
-                f"pending instant t={time} has no bucket",
-            )
-        return bucket
 
     def verify_heap(self) -> int:
         """Check the pending set's structure (see :func:`verify_heap`)."""
         return verify_heap(self)
 
-    # The dispatch cores mirror Simulator._drain / _drain_limited
-    # exactly — same coalescing, same counters — plus the per-entry
-    # checks.
+    def _drain(self, t_end: float, limit: int = _NO_LIMIT) -> int:
+        """Check each due bucket, then dispatch it through the base loop.
 
-    def _drain(self, t_end: float) -> int:
-        heap = self._heap
-        pop = heappop
-        processed = self._events_processed
-        start = processed
-        while heap and heap[0] < t_end:
-            time = pop(heap)
-            self._check_instant(time)
-            self.now = time
-            bucket = self._pop_bucket(time)
-            if bucket.__class__ is not list:
-                bucket = (bucket,)
-            for entry in bucket:
-                self._check_entry(time, entry)
-                cls = entry.__class__
-                if cls is tuple:
-                    processed += 1
-                    entry[0](*entry[1])
-                elif cls is Event:
-                    if entry.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    entry._sim = None
-                    processed += 1
-                    entry.fn(*entry.args)
-                else:
-                    chain_fn = entry.fn
-                    argslist = entry.argslist
-                    i = entry.idx
-                    n = len(argslist)
-                    while i < n:
-                        args = argslist[i]
-                        i += 1
-                        processed += 1
-                        chain_fn(*args)
-                    entry.idx = n
-        self._events_processed = processed
-        return processed - start
-
-    def _drain_limited(self, t_end: float, limit: int) -> int:
+        The base loop is handed ``t_end`` just past the bucket's
+        instant, so nothing at a later instant fires, and a budget of
+        the bucket's ``(fn, args)`` entries (at least one): each of
+        them is sure to fire. An :class:`Event` may be cancelled by an
+        earlier entry, and a cancelled Event does not count against the
+        budget, so counting Events could let the base loop run on into
+        a fresh same-instant bucket that has not been checked. Entries
+        a callback files at the current instant, and any part of the
+        bucket the budget did not reach, are checked on the next pass.
+        """
         heap = self._heap
         buckets = self._buckets
-        processed = self._events_processed
-        start = processed
-        limit += processed
-        while heap and heap[0] < t_end and processed < limit:
-            time = heappop(heap)
-            self._check_instant(time)
-            self.now = time
-            bucket = self._pop_bucket(time)
-            if bucket.__class__ is not list:
-                bucket = [bucket]
-            i = 0
-            n_entries = len(bucket)
-            while i < n_entries:
-                if processed >= limit:
-                    break
-                entry = bucket[i]
-                self._check_entry(time, entry)
-                cls = entry.__class__
-                if cls is tuple:
-                    i += 1
-                    processed += 1
-                    entry[0](*entry[1])
-                elif cls is Event:
-                    i += 1
-                    if entry.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    entry._sim = None
-                    processed += 1
-                    entry.fn(*entry.args)
-                else:
-                    chain_fn = entry.fn
-                    argslist = entry.argslist
-                    j = entry.idx
-                    n = len(argslist)
-                    while j < n and processed < limit:
-                        args = argslist[j]
-                        j += 1
-                        processed += 1
-                        chain_fn(*args)
-                    entry.idx = j
-                    if j < n:
-                        break
-                    i += 1
-            if i < n_entries:
-                rest = bucket[i:]
-                tail = buckets.get(time)
-                if tail is None:
-                    heappush(heap, time)
-                elif tail.__class__ is list:
-                    rest.extend(tail)
-                else:
-                    rest.append(tail)
-                buckets[time] = rest
-                break
-        self._events_processed = processed
-        return processed - start
+        drain = Simulator._drain
+        executed = 0
+        while heap and heap[0] < t_end and executed < limit:
+            time = heap[0]
+            if time < self.now:
+                raise InvariantViolation(
+                    "engine",
+                    "clock-monotonicity",
+                    f"event at t={time} surfaced after now={self.now}",
+                )
+            bucket = buckets.get(time)
+            if not bucket:  # missing, or an empty list
+                raise InvariantViolation(
+                    "engine",
+                    "heap-bucket-sync",
+                    f"pending instant t={time} has no bucket",
+                )
+            if bucket.__class__ is list:
+                share = 0
+                for entry in bucket:
+                    _check_entry(time, entry)
+                    share += entry.__class__ is tuple
+                if share > limit - executed:
+                    share = limit - executed
+            else:
+                _check_entry(time, bucket)
+                share = 1
+            executed += drain(self, math.nextafter(time, _INF), share or 1)
+        return executed
 
 
 def verify_heap(sim: Simulator) -> int:
@@ -220,8 +133,8 @@ def verify_heap(sim: Simulator) -> int:
       would mean a cancellation was double-counted or lost.
 
     Returns the number of scheduled events verified (including
-    cancelled residue and undispatched chain members). O(n) over the
-    pending set, so call it at window boundaries.
+    cancelled residue). O(n) over the pending set, so call it at
+    window boundaries.
     """
     heap = sim._heap
     buckets = sim._buckets
@@ -255,25 +168,9 @@ def verify_heap(sim: Simulator) -> int:
     total = 0
     live = 0
     for time, entry in sim.pending_entries():
-        _check_shape(entry)
-        cls = entry.__class__
-        if cls is Event:
-            total += 1
-            if entry.time != time:
-                raise InvariantViolation(
-                    "engine",
-                    "heap-entry-shape",
-                    "Event wrapper disagrees with its bucket instant",
-                    details={"bucket": time, "event": entry.time},
-                )
-            if not entry.cancelled:
-                live += 1
-        elif cls is _Chain:
-            members = len(entry.argslist) - entry.idx
-            total += members
-            live += members
-        else:
-            total += 1
+        _check_entry(time, entry)
+        total += 1
+        if entry.__class__ is not Event or not entry.cancelled:
             live += 1
     if live != sim.pending_live:
         raise InvariantViolation(
@@ -291,11 +188,10 @@ _SELFTEST_DELAYS = (5.0, 1.0, 1.0, 3.0, 0.0, 9.0, 3.0, 1.0, 7.0, 0.0, 2.0, 5.0)
 
 
 def dispatch_equivalence_selftest() -> None:
-    """Fast-path, cancellable-path and bulk dispatch must agree.
+    """Fast-path and cancellable-path dispatch must agree.
 
-    Runs the same scripted workload through ``schedule``, through
-    ``schedule_cancellable`` (with one cancelled straggler) and
-    through ``schedule_many`` (members grouped by delay) and raises
+    Runs the same scripted workload through ``schedule`` and through
+    ``schedule_cancellable`` (with one cancelled straggler) and raises
     :class:`InvariantViolation` if execution order or the
     processed-event count diverge. Cheap (a few dozen events); the
     validator runs it once per host.
@@ -330,36 +226,4 @@ def dispatch_equivalence_selftest() -> None:
                 "fast": fast.events_processed,
                 "cancellable": slow.events_processed,
             },
-        )
-
-    # Bulk path: same instants, one schedule_many train per delay
-    # value. Equivalent per-member schedule() calls would interleave
-    # trains by submission order, so submit in that order too.
-    bulk = Simulator()
-    bulk_order: list = []
-    for delay in sorted(set(_SELFTEST_DELAYS)):
-        members = [
-            (i,) for i, d in enumerate(_SELFTEST_DELAYS) if d == delay
-        ]
-        bulk.schedule_many(delay, bulk_order.append, members)
-    bulk.run_until(100.0)
-    if sorted(bulk_order) != sorted(fast_order) or len(bulk_order) != len(
-        fast_order
-    ):
-        raise InvariantViolation(
-            "engine",
-            "dispatch-equivalence",
-            "bulk-path dispatch lost or duplicated members",
-            details={"fast": fast_order, "bulk": bulk_order},
-        )
-    by_time: dict = {}
-    for i, delay in enumerate(_SELFTEST_DELAYS):
-        by_time.setdefault(delay, []).append(i)
-    expected = [i for delay in sorted(by_time) for i in by_time[delay]]
-    if bulk_order != expected:
-        raise InvariantViolation(
-            "engine",
-            "dispatch-equivalence",
-            "bulk-path execution order diverges from per-member order",
-            details={"expected": expected, "bulk": bulk_order},
         )

@@ -74,18 +74,20 @@ class TestPendingEntries:
         keep = sim.schedule_cancellable(7.0, rec.hit, "keep")
         dead = sim.schedule_cancellable(7.0, rec.hit, "dead")
         dead.cancel()
-        sim.schedule_many(3.0, rec.hit, [("t1",), ("t2",), ("t3",)])
+        for tag in ("t1", "t2", "t3"):  # a same-delay run at t=3
+            sim.schedule(3.0, rec.hit, tag)
 
         entries = list(sim.pending_entries())
-        # 2 tuples at t=5, 1 at t=9, 2 Events at t=7, 1 chain at t=3.
-        assert len(entries) == 6
+        # 2 tuples at t=5, 1 at t=9, 2 Events at t=7, 3 tuples at t=3.
+        assert len(entries) == 8
         assert {t for t, _ in entries} == {3.0, 5.0, 7.0, 9.0}
         assert keep in [e for _, e in entries]
         assert dead in [e for _, e in entries]  # lazily deleted, still walked
         for time, entry in entries:
             if isinstance(entry, type(keep)):
                 assert entry.time == time
-        # pending counts chain members; pending_live excludes the
+        assert [e[1] for t, e in entries if t == 3.0] == [("t1",), ("t2",), ("t3",)]
+        # pending counts every entry; pending_live excludes the
         # cancelled Event.
         assert sim.pending == 8
         assert sim.pending_live == 7
@@ -99,13 +101,9 @@ class TestPendingEntries:
         rng = random.Random(42)
         for _ in range(200):
             sim.schedule(rng.choice([1.0, 2.5, 2.5, 40.0, 900.0]), rec.hit, "x")
-        sim.schedule_many(2.5, rec.hit, [("m",)] * 5)
-        walked = 0
-        for _, entry in sim.pending_entries():
-            if hasattr(entry, "argslist"):
-                walked += len(entry.argslist) - entry.idx
-            else:
-                walked += 1
+        for _ in range(5):
+            sim.schedule(2.5, rec.hit, "m")
+        walked = sum(1 for _ in sim.pending_entries())
         assert walked == sim.pending == 205
 
 
@@ -129,9 +127,8 @@ class _Feeder:
         if self.n < 400:
             self.sim.schedule(self.rng.choice([0.0, 1.0, 3.5]), self.tick)
             if self.n % 7 == 0:
-                self.sim.schedule_many(
-                    2.0, self.rec.hit, [(f"burst{self.n}.{k}",) for k in range(3)]
-                )
+                for k in range(3):
+                    self.sim.schedule(2.0, self.rec.hit, f"burst{self.n}.{k}")
             if self.n % 11 == 0:
                 event = self.sim.schedule_cancellable(
                     5.0, self.rec.hit, f"cancellable{self.n}"
@@ -151,7 +148,7 @@ class TestEnginePickleRoundTrip:
         sim.schedule(0.0, feeder.tick)
         # Advance partway, snapshot, then race the original against the
         # clone: both must fire the identical remaining sequence.
-        sim._drain_limited(1e9, 137)
+        sim._drain(1e9, 137)
         blob = pickle.dumps((sim, rec), protocol=4)
         sim.run_until(10_000.0)
         sim2, rec2 = pickle.loads(blob)
@@ -517,7 +514,7 @@ class TestWatchdog:
         # The hang signature: unbounded chunks execute, the clock never
         # moves. (An unchunked run_until(10.0) would simply never return.)
         for _ in range(50):
-            assert sim._drain_limited(10.0, 1_000) == 1_000
+            assert sim._drain(10.0, 1_000) == 1_000
         assert sim.now == 0.0
         assert sim.events_processed == 50_000
         assert spinner.fires == 50_000
@@ -531,7 +528,7 @@ class TestWatchdog:
         chunks = 0
         with pytest.raises(watchdog.StallError) as excinfo:
             while True:
-                sim._drain_limited(10.0, 1_000)
+                sim._drain(10.0, 1_000)
                 wd.observe(sim)
                 chunks += 1
                 assert chunks < 100, "watchdog never fired"
@@ -551,9 +548,10 @@ class TestWatchdog:
         wd.arm(sim)
         # 200 events per instant — under budget each time the clock moves.
         for t in (1.0, 2.0, 3.0, 4.0, 5.0):
-            sim.schedule_many(t, rec.hit, [("x",)] * 200)
+            for _ in range(200):
+                sim.schedule(t, rec.hit, "x")
         while sim.pending_live:
-            sim._drain_limited(100.0, 128)
+            sim._drain(100.0, 128)
             wd.observe(sim)  # must never raise
 
     def test_watchdog_env_run_is_result_invisible(self):

@@ -10,17 +10,19 @@ directions, row hits/misses/conflicts and the P2M write-priority
 policy.
 """
 
-import os
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Cluster, Host, cascade_lake
 from repro.dram.controller import Channel
 from repro.dram.kernel import kernel_enabled
 from repro.dram.regulator import BankRegulator
 from repro.dram.timing import DDR4_2933
 from repro.sim.engine import Simulator
+from repro.sim.knobs import KnobSet
 from repro.sim.records import Request, RequestKind, RequestSource
 from repro.telemetry import bankstats
 from repro.telemetry.counters import CounterHub
@@ -42,31 +44,23 @@ def build_channel(kernel: bool, rpq=256, wpq=256, p2m_priority=False, bank_reg=F
     regulated differential tests actually exercise token blocking and
     the bucket-refill pump retry.
     """
-    prior = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = "on" if kernel else "off"
-    try:
-        sim = Simulator()
-        hub = CounterHub()
-        channel = Channel(
-            sim,
-            hub,
-            channel_id=0,
-            timing=DDR4_2933,
-            n_banks=8,
-            rpq_size=rpq,
-            wpq_size=wpq,
-            p2m_write_priority=p2m_priority,
-            bank_reg=(
-                BankRegulator(8, rate_lines_per_ns=0.05, burst_lines=4)
-                if bank_reg
-                else None
-            ),
-        )
-    finally:
-        if prior is None:
-            del os.environ["REPRO_KERNEL"]
-        else:
-            os.environ["REPRO_KERNEL"] = prior
+    sim = Simulator()
+    channel = Channel(
+        sim,
+        CounterHub(),
+        channel_id=0,
+        timing=DDR4_2933,
+        n_banks=8,
+        rpq_size=rpq,
+        wpq_size=wpq,
+        p2m_write_priority=p2m_priority,
+        bank_reg=(
+            BankRegulator(8, rate_lines_per_ns=0.05, burst_lines=4)
+            if bank_reg
+            else None
+        ),
+        kernel=kernel,
+    )
     assert (channel.kernel is not None) == kernel
     return sim, channel
 
@@ -163,6 +157,22 @@ class TestKernelKnob:
         monkeypatch.setenv("REPRO_KERNEL", "sometimes")
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
             kernel_enabled()
+
+    @pytest.mark.parametrize("env,knob", [("on", False), ("off", True)])
+    def test_hosts_follow_the_knobset_not_the_environment(
+        self, monkeypatch, env, knob
+    ):
+        """A host's channels take ``KnobSet.kernel``, even when the
+        environment says otherwise, in a Host and in every host of a
+        Cluster (one knob resolution per run context)."""
+        monkeypatch.setenv("REPRO_KERNEL", env)
+        knobs = dataclasses.replace(KnobSet.resolve(), kernel=knob)
+        assert knobs.kernel is not kernel_enabled()
+        host = Host(cascade_lake(), knobs=knobs)
+        cluster = Cluster(cascade_lake(), n_hosts=2, knobs=knobs)
+        for member in [host, *cluster.hosts]:
+            for channel in member.mc.channels:
+                assert (channel.kernel is not None) == knob
 
     def test_channel_binds_kernel_methods(self):
         _, channel = build_channel(kernel=True)
@@ -319,16 +329,14 @@ class TestKernelIntrospection:
     @given(st.lists(request_strategy, min_size=1, max_size=50))
     @settings(max_examples=25, deadline=None)
     def test_consistency_mid_flight(self, specs):
-        """verify_consistency and the cached queue totals must hold at
-        arbitrary instants while traffic is in flight, not only at
-        quiescence."""
+        """verify_consistency must hold at arbitrary instants while
+        traffic is in flight, not only at quiescence."""
         sim, channel = build_channel(kernel=True)
         kernel = channel.kernel
         checked = []
 
         def probe():
             checked.append(kernel.verify_consistency())
-            assert channel.queued_in_banks() == channel.walk_queued_lines()
 
         t = 0.0
         for i, (is_write, bank, row, gap, _p2m) in enumerate(specs):

@@ -10,6 +10,7 @@ from repro import Host, RequestKind, cascade_lake
 from repro.sim import records
 from repro.sim.engine import Simulator
 from repro.sim.records import RequestSource, acquire_request, release_request
+from repro.validate import ValidatingSimulator
 from repro.validate.harness import assert_results_identical
 
 WARMUP = 1_000.0
@@ -33,13 +34,15 @@ def _host():
 
 class TestFastLaneOrdering:
     """The bucketed FIFO lanes are an optimization of a (time, seq)
-    heap, never a semantic fork: a randomized mix of the three
-    scheduling APIs must dispatch in exactly the reference order."""
+    heap, never a semantic fork: a randomized mix of the scheduling
+    APIs must dispatch in exactly the reference order, whether one
+    drain or budgeted chunks of it run the schedule."""
 
-    def test_matches_reference_heap_scheduler(self):
+    @staticmethod
+    def _schedule_mix(sim, got):
+        """File a seeded random mix on ``sim``; return the order a
+        reference ``(time, seq)`` heap dispatches it in."""
         rng = random.Random(1234)
-        sim = Simulator()
-        got = []
         ref_heap = []
         seq = 0
         cancelled = set()
@@ -47,10 +50,9 @@ class TestFastLaneOrdering:
         while i < 300:
             delay = rng.choice((0.0, 1.0, 1.0, 2.0, 2.5, 3.0, 7.0))
             roll = rng.random()
-            if roll < 0.2:  # a schedule_many train of four members
-                members = [i, i + 1, i + 2, i + 3]
-                sim.schedule_many(delay, got.append, [(m,) for m in members])
-                for m in members:
+            if roll < 0.2:  # a run of four same-delay schedule calls
+                for m in range(i, i + 4):
+                    sim.schedule(delay, got.append, m)
                     heapq.heappush(ref_heap, (delay, seq, m))
                     seq += 1
                 i += 4
@@ -67,13 +69,24 @@ class TestFastLaneOrdering:
                 heapq.heappush(ref_heap, (delay, seq, i))
                 seq += 1
                 i += 1
-        sim.run_until(100.0)
         expected = []
         while ref_heap:
             _, _, member = heapq.heappop(ref_heap)
             if member not in cancelled:
                 expected.append(member)
-        assert got == expected
+        return expected
+
+    def test_matches_reference_heap_scheduler(self):
+        for engine in (Simulator, ValidatingSimulator):
+            for limit in (None, 1, 3, 137):
+                sim = engine()
+                got = []
+                expected = self._schedule_mix(sim, got)
+                if limit is not None:
+                    while sim._drain(100.0, limit) == limit:
+                        pass
+                sim.run_until(100.0)
+                assert got == expected, (engine.__name__, limit)
 
     def test_same_timestamp_interleave_across_apis(self):
         """Submission order is the tiebreak at one instant, regardless
@@ -81,11 +94,15 @@ class TestFastLaneOrdering:
         sim = Simulator()
         got = []
         sim.schedule(4.0, got.append, "fast1")
-        sim.schedule_many(4.0, got.append, [("train1",), ("train2",)])
-        sim.schedule_cancellable(4.0, got.append, "cancellable")
+        sim.schedule_at(4.0, got.append, "at1")
         sim.schedule(4.0, got.append, "fast2")
+        sim.schedule_cancellable(4.0, got.append, "cancellable")
+        sim.schedule_at_cancellable(4.0, got.append, "at_cancellable")
+        sim.schedule(4.0, got.append, "fast3")
         sim.run_until(10.0)
-        assert got == ["fast1", "train1", "train2", "cancellable", "fast2"]
+        assert got == [
+            "fast1", "at1", "fast2", "cancellable", "at_cancellable", "fast3"
+        ]
 
 
 class TestRequestPool:

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import math
+import random
 
 import pytest
 
@@ -284,3 +285,51 @@ def test_run_max_events_still_raises_with_live_remainder():
         sim.schedule(float(i + 1), lambda: None)
     with pytest.raises(RuntimeError):
         sim.run(max_events=5)
+
+
+def _reentrant_workload(sim, seed):
+    """Seed a workload whose callbacks file same-instant entries and
+    cancel pending Events (often ones in the bucket being dispatched);
+    return the ``(tag, now)`` firing log it fills."""
+    rng = random.Random(seed)
+    log, events = [], []
+
+    def hit(tag):
+        log.append((tag, sim.now))
+        if len(log) > 600:
+            return
+        roll = rng.random()
+        if roll < 0.3:
+            sim.schedule(0.0, hit, f"z{len(log)}")
+        elif roll < 0.5:
+            delay = rng.choice((0.0, 1.0, 2.0))
+            events.append(sim.schedule_cancellable(delay, hit, f"c{len(log)}"))
+        elif roll < 0.7 and events:
+            events.pop(rng.randrange(len(events))).cancel()
+        else:
+            sim.schedule(rng.choice((0.0, 0.5, 1.0, 3.0)), hit, f"s{len(log)}")
+
+    for i in range(40):
+        delay = rng.choice((0.0, 1.0, 1.0, 2.0))
+        if rng.random() < 0.4:
+            events.append(sim.schedule_cancellable(delay, hit, f"i{i}"))
+        else:
+            sim.schedule(delay, hit, f"i{i}")
+    return log
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 50])
+def test_budgeted_drains_replay_the_unbudgeted_order(limit):
+    """Chunks of any budget fire the event sequence of one unbudgeted
+    drain, and each chunk executes exactly its budget until the end."""
+    for seed in range(20):
+        ref_sim = Simulator()
+        ref = _reentrant_workload(ref_sim, seed)
+        ref_sim.run_until(1e6)
+        sim = Simulator()
+        log = _reentrant_workload(sim, seed)
+        while sim._drain(1e6, limit) == limit:
+            pass
+        assert sim.pending_live == 0
+        assert log == ref
+        assert sim.events_processed == ref_sim.events_processed

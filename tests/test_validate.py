@@ -3,6 +3,7 @@ differential parity, and violation reporting."""
 
 import dataclasses
 import heapq
+import sys
 
 import pytest
 
@@ -231,6 +232,70 @@ class TestValidatingSimulator:
 
     def test_dispatch_equivalence_selftest_passes(self):
         dispatch_equivalence_selftest()
+
+    def test_callbacks_fire_from_the_production_loop(self):
+        """A validated run dispatches every event from Simulator._drain
+        itself, not from a checked copy of the loop: through run_until,
+        budgeted chunks and run, with same-instant and cancellable
+        entries filed from inside callbacks."""
+        sim = ValidatingSimulator()
+        callers = []
+
+        def hit(depth):
+            callers.append(sys._getframe(1).f_code)
+            if depth:
+                sim.schedule(0.0, hit, depth - 1)
+                event = sim.schedule_cancellable(1.0, hit, depth - 1)
+                if depth % 2:
+                    event.cancel()
+
+        for i in range(20):
+            sim.schedule(float(i % 5), hit, 3)
+            sim.schedule_at_cancellable(float(i % 3), hit, 2)
+        sim._drain(3.0, 7)
+        sim.run_until(4.0)
+        sim.run(max_events=10_000)
+        assert len(callers) == sim.events_processed > 100
+        assert set(callers) == {Simulator._drain.__code__}
+
+        # A validated host run: the checking loop itself makes no
+        # Python-level call but its entry check and the base loop.
+        host = _small_host(validate=True)
+        called = set()
+        checking_loop = ValidatingSimulator._drain.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_back.f_code is checking_loop:
+                called.add(frame.f_code.co_name)
+
+        host.start()
+        sys.setprofile(profile)
+        try:
+            host.sim.run_until(2_000.0)
+        finally:
+            sys.setprofile(None)
+        assert host.sim.events_processed > 1_000
+        assert called == {"_drain", "_check_entry"}
+
+    def test_entry_planted_at_the_current_instant_is_checked_first(self):
+        """An entry a callback files at the instant being dispatched is
+        checked before it fires, even when the same callback cancels
+        the Event queued behind it (a cancelled Event fires nothing, so
+        it must not stretch the checked hand-off)."""
+        sim = ValidatingSimulator()
+        fired = []
+        later = []
+
+        def plant():
+            later[0].cancel()
+            # args must be a tuple; filed behind schedule()'s back
+            sim._file(sim.now, (fired.append, ["planted"]))
+
+        sim.schedule(1.0, plant)
+        later.append(sim.schedule_cancellable(1.0, fired.append, "event"))
+        with pytest.raises(InvariantViolation, match="heap-entry-shape"):
+            sim.run_until(10.0)
+        assert fired == []
 
 
 class TestDifferentialHarness:

@@ -1,9 +1,9 @@
 """Perf gate: engine events/sec against the committed baseline.
 
 Runs the engine benchmarks (``benchmarks/bench_engine.py``:
-empty-callback churn, event-train dispatch, the end-to-end
-DRAM-traffic window owned by the SoA channel kernel, and the
-uncore-bound window owned by the SoA uncore kernel) and compares
+empty-callback churn, the end-to-end DRAM-traffic window owned by the
+SoA channel kernel, and the uncore-bound window owned by the SoA
+uncore kernel) and compares
 each events/sec figure against ``benchmarks/BENCH_engine.json``.
 
 A result more than 25 % *below* baseline fails the gate (a perf
@@ -58,7 +58,7 @@ def main() -> int:
                 "benchmarks/bench_engine.py",
                 "--benchmark-only",
                 "-k",
-                "churn or train or dram or uncore",
+                "churn or dram or uncore",
                 f"--benchmark-json={out}",
             ],
             cwd=ROOT,
