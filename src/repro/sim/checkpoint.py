@@ -20,10 +20,9 @@ drives its windows through the engine's one dispatch loop,
 ``Simulator._drain``, in fixed event chunks. The engine re-files a
 partially-dispatched bucket's suffix *ahead of* same-instant later
 arrivals, so chunked dispatch executes the exact event sequence of an
-unchunked drain — checkpoints, watchdog
-probes and preemption points at chunk boundaries can never perturb
-results, and a restored run finishes **bit-identical** to an
-uninterrupted one.
+unchunked drain — checkpoints, watchdog probes and preemption points
+at chunk boundaries can never perturb results, and a restored run
+finishes **bit-identical** to an uninterrupted one.
 
 Knobs:
 

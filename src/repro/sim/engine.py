@@ -13,9 +13,8 @@ lanes*:
 * ``_buckets`` maps each pending instant to its FIFO bucket of
   entries. Scheduling onto an instant that is already pending is a
   dict hit plus a list append — no heap operation at all, which is
-  the common case for event trains (many components acting at the
-  same timestamp, self-rescheduling sources with few distinct
-  delays).
+  the common case when many components act at the same timestamp
+  or self-rescheduling sources use few distinct delays.
 
 A bucket holds either a single entry (the overwhelmingly common
 singleton case pays no list allocation) or a list of entries in

@@ -3,8 +3,8 @@
 Runs the engine benchmarks (``benchmarks/bench_engine.py``:
 empty-callback churn, the end-to-end DRAM-traffic window owned by the
 SoA channel kernel, and the uncore-bound window owned by the SoA
-uncore kernel) and compares
-each events/sec figure against ``benchmarks/BENCH_engine.json``.
+uncore kernel) and compares each events/sec figure against
+``benchmarks/BENCH_engine.json``.
 
 A result more than 25 % *below* baseline fails the gate (a perf
 regression slipped in); more than 25 % *above* also fails (the
